@@ -395,32 +395,19 @@ int run_preview_mode(const egt::core::SimConfig& cfg) {
   return 0;
 }
 
-/// Headline cooperation statistic for the legacy manifest: expected play
-/// cooperation for the 2-action iterated games, the mean action-0 /
-/// contribution share otherwise.
-double headline_cooperation(const egt::pop::Population& pop,
-                            const egt::core::SimConfig& cfg,
-                            double* mean_payoff) {
-  using namespace egt;
-  *mean_payoff = 0.0;
-  if (cfg.game.uses_nway() || cfg.game.kind == game::GameKind::PublicGoods) {
-    double share = 0.0;
-    for (pop::SSetId i = 0; i < pop.size(); ++i) {
-      const auto& s = pop.strategy(i);
-      share += s.is_nway() ? s.as_nway().action_prob(0) : s.coop_prob(0);
-    }
-    return share / pop.size();
-  }
-  const auto coop =
-      analysis::expected_play_cooperation(pop, cfg.game.ipd_params());
-  *mean_payoff = coop.mean_payoff;
-  return coop.mean_coop_rate;
-}
+/// Headline cooperation statistic of a finished run, computed once by
+/// report() and reused by the legacy manifest: expected play cooperation
+/// (and mean per-round payoff) for the 2-action iterated games, the mean
+/// action-0 / contribution share otherwise.
+struct Headline {
+  double cooperation = 0.0;
+  double mean_payoff = 0.0;
+};
 
 void write_legacy_manifest(const std::string& path,
                            const egt::core::SimConfig& cfg,
                            const egt::pop::Population& pop,
-                           double wall_seconds,
+                           const Headline& headline, double wall_seconds,
                            std::uint64_t pair_evaluations) {
   using namespace egt;
   std::ofstream out(path);
@@ -440,15 +427,13 @@ void write_legacy_manifest(const std::string& path,
   w.field("seed", cfg.seed);
   w.field("config_fingerprint", core::config_fingerprint(cfg));
   w.end_object();
-  double mean_payoff = 0.0;
-  const double play_coop = headline_cooperation(pop, cfg, &mean_payoff);
   const auto census = pop::census(pop);
   w.key("results").begin_object();
   w.field("dominant_fraction",
           static_cast<double>(census.front().count) / pop.size());
   w.field("distinct_strategies", static_cast<std::uint64_t>(census.size()));
-  w.field("play_cooperation", play_coop);
-  w.field("mean_payoff", mean_payoff);
+  w.field("play_cooperation", headline.cooperation);
+  w.field("mean_payoff", headline.mean_payoff);
   w.field("strategy_table_hash", pop.table_hash());
   w.field("wall_seconds", wall_seconds);
   w.field("pair_evaluations", pair_evaluations);
@@ -607,7 +592,10 @@ egt::core::Engine restore_engine(const egt::core::SimConfig& cfg,
   return core::restore_checkpoint(cfg, loaded->payload, metrics);
 }
 
-void report(const egt::pop::Population& pop, const egt::core::SimConfig& cfg) {
+/// Print the final population and its headline cooperation statistic,
+/// and return the statistic for the legacy manifest.
+Headline report(const egt::pop::Population& pop,
+                const egt::core::SimConfig& cfg) {
   using namespace egt;
   std::printf("\nfinal population:\n%s", pop::format_census(pop, 5).c_str());
   if (cfg.game.uses_nway()) {
@@ -624,7 +612,7 @@ void report(const egt::pop::Population& pop, const egt::core::SimConfig& cfg) {
       std::printf(" %s=%.3f", cfg.game.label(a).c_str(), mix[a] / pop.size());
     }
     std::printf("\n");
-    return;
+    return {mix[0] / pop.size(), 0.0};
   }
   if (cfg.game.kind == game::GameKind::PublicGoods) {
     double contrib = 0.0;
@@ -632,11 +620,13 @@ void report(const egt::pop::Population& pop, const egt::core::SimConfig& cfg) {
       contrib += pop.strategy(i).coop_prob(0);
     }
     std::printf("mean contribution propensity: %.3f\n", contrib / pop.size());
-    return;
+    return {contrib / pop.size(), 0.0};
   }
-  const auto coop = analysis::expected_play_cooperation(pop, cfg.game.ipd_params());
+  const auto coop =
+      analysis::expected_play_cooperation(pop, cfg.game.ipd_params());
   std::printf("expected play cooperation: %.3f (mean per-round payoff %.3f)\n",
               coop.mean_coop_rate, coop.mean_payoff);
+  return {coop.mean_coop_rate, coop.mean_payoff};
 }
 
 }  // namespace
@@ -699,7 +689,7 @@ int run_cli(int argc, char** argv) {
             result.metrics.counter_value("ft.recovery.blocks_restored")),
         static_cast<unsigned long long>(
             result.metrics.counter_value("ft.recovery.blocks_recomputed")));
-    report(result.population, cfg);
+    const Headline headline = report(result.population, cfg);
     const double wall = timer.seconds();
     if (stream) {
       std::printf("metrics stream written: %s (%llu lines)\n",
@@ -713,9 +703,9 @@ int run_cli(int argc, char** argv) {
       try_write_metrics_manifest(out.metrics_out, info, metrics);
     }
     if (!out.manifest.empty()) {
-      write_legacy_manifest(out.manifest, cfg, result.population, wall,
-                            result.metrics.counter_value(
-                                "engine.pairs_evaluated"));
+      write_legacy_manifest(
+          out.manifest, cfg, result.population, headline, wall,
+          result.metrics.counter_value("engine.pairs_evaluated"));
       std::printf("manifest written: %s\n", out.manifest.c_str());
     }
     std::printf("wall time: %.2f s\n", wall);
@@ -740,7 +730,7 @@ int run_cli(int argc, char** argv) {
         static_cast<unsigned long long>(t.bcast_bytes),
         static_cast<unsigned long long>(t.p2p_messages),
         static_cast<unsigned long long>(t.p2p_bytes));
-    report(result.population, cfg);
+    const Headline headline = report(result.population, cfg);
     const double wall = timer.seconds();
     if (stream) {
       std::printf("metrics stream written: %s (%llu lines)\n",
@@ -754,9 +744,9 @@ int run_cli(int argc, char** argv) {
       try_write_metrics_manifest(out.metrics_out, info, metrics);
     }
     if (!out.manifest.empty()) {
-      write_legacy_manifest(out.manifest, cfg, result.population, wall,
-                            result.metrics.counter_value(
-                                "engine.pairs_evaluated"));
+      write_legacy_manifest(
+          out.manifest, cfg, result.population, headline, wall,
+          result.metrics.counter_value("engine.pairs_evaluated"));
       std::printf("manifest written: %s\n", out.manifest.c_str());
     }
     std::printf("wall time: %.2f s\n", wall);
@@ -894,7 +884,7 @@ int run_cli(int argc, char** argv) {
     std::printf("heat map written: %s_final.ppm\n", out.heatmap.c_str());
   }
 
-  report(engine.population(), cfg);
+  const Headline headline = report(engine.population(), cfg);
   const double wall = timer.seconds();
   if (!out.metrics_out.empty()) {
     const obs::MetricsSnapshot snap = metrics.snapshot();
@@ -903,8 +893,8 @@ int run_cli(int argc, char** argv) {
     try_write_metrics_manifest(out.metrics_out, info, metrics);
   }
   if (!out.manifest.empty()) {
-    write_legacy_manifest(out.manifest, cfg, engine.population(), wall,
-                          engine.pairs_evaluated());
+    write_legacy_manifest(out.manifest, cfg, engine.population(), headline,
+                          wall, engine.pairs_evaluated());
     std::printf("manifest written: %s\n", out.manifest.c_str());
   }
   std::printf("wall time: %.2f s (%llu pair evaluations)\n", wall,

@@ -1,30 +1,10 @@
 #include "analysis/ess.hpp"
 
+#include "analysis/coop.hpp"
 #include "game/enumerate.hpp"
-#include "game/markov.hpp"
 #include "util/check.hpp"
 
 namespace egt::analysis {
-
-namespace {
-
-/// Per-round expected payoff of `a` against `b` (A's side), analytic only.
-double mean_payoff(const game::Strategy& a, const game::Strategy& b,
-                   const game::IpdParams& params) {
-  if (a.is_pure() && b.is_pure() && params.noise == 0.0) {
-    return game::markov::exact_pure_game(a.as_pure(), b.as_pure(),
-                                         params.payoff, params.rounds)
-        .mean_payoff_a();
-  }
-  EGT_REQUIRE_MSG(a.memory() == 1 && b.memory() == 1,
-                  "invasion analysis needs an analytically solvable game "
-                  "(memory-one, or pure strategies without noise)");
-  return game::markov::finite_outcome_mem1(a, b, params.payoff, params.rounds,
-                                           params.noise)
-      .payoff_a;
-}
-
-}  // namespace
 
 InvasionAnalysis analyze_invasion(const game::Strategy& resident,
                                   const game::Strategy& mutant,
@@ -32,10 +12,23 @@ InvasionAnalysis analyze_invasion(const game::Strategy& resident,
                                   const game::IpdParams& params,
                                   double tolerance) {
   EGT_REQUIRE_MSG(n >= 3, "invasion analysis needs at least three SSets");
-  // One mutant among n-1 residents; everyone plays everyone else.
-  const double rr = mean_payoff(resident, resident, params);
-  const double rm = mean_payoff(resident, mutant, params);
-  const double mr = mean_payoff(mutant, resident, params);
+  EGT_REQUIRE_MSG(resident.memory() == mutant.memory(),
+                  "resident and mutant must share one memory depth");
+  const core::PairEvaluator eval = play_evaluator(params, resident.memory());
+  EGT_REQUIRE_MSG(eval.strategy_pure(resident, resident) &&
+                      eval.strategy_pure(resident, mutant),
+                  "invasion analysis needs an analytically solvable game "
+                  "(memory-one, or pure strategies without noise)");
+  // One mutant among n-1 residents; everyone plays everyone else. The
+  // resident-vs-mutant game answers both sides.
+  const core::PairRequest games[2] = {{&resident, &resident, 0},
+                                      {&resident, &mutant, 0}};
+  game::batch::BatchTotals t[2];
+  eval.evaluate(games, t);
+  const double rounds = params.rounds;
+  const double rr = t[0].payoff_a / rounds;
+  const double rm = t[1].payoff_a / rounds;
+  const double mr = t[1].payoff_b / rounds;
 
   InvasionAnalysis out;
   out.mutant_fitness = mr;  // all n-1 opponents are residents

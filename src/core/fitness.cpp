@@ -38,57 +38,94 @@ void PairEvaluator::mem1_batch_payoffs(const game::batch::Mem1Batch& batch,
                                     config_.game.rounds, out);
 }
 
-double PairEvaluator::pair_payoff(const game::Strategy& si,
-                                  const game::Strategy& sj) const {
-  switch (route(si, sj)) {
+namespace {
+
+game::batch::BatchTotals totals_of(const game::GameResult& g) noexcept {
+  return {g.payoff_a, g.payoff_b, static_cast<double>(g.coop_a),
+          static_cast<double>(g.coop_b)};
+}
+
+}  // namespace
+
+game::batch::BatchTotals PairEvaluator::play_unbatched(
+    Route r, const PairRequest& pair) const {
+  const game::GameSpec& g = config_.game;
+  const game::Strategy& a = *pair.a;
+  const game::Strategy& b = *pair.b;
+  switch (r) {
     case Route::NWaySpec:
-      return game::spec::expected_game(
-                 config_.game,
-                 game::spec::Behavioral::from_strategy(config_.game, si),
-                 game::spec::Behavioral::from_strategy(config_.game, sj))
-          .payoff_a;
+      return totals_of(game::spec::expected_game(
+          g, game::spec::Behavioral::from_strategy(g, a),
+          game::spec::Behavioral::from_strategy(g, b)));
     case Route::PureExact:
-      return game::batch::exact_pure_game_fast(si.as_pure(), sj.as_pure(),
-                                               config_.game.payoff,
-                                               config_.game.rounds)
-          .payoff_a;
-    case Route::Mem1Markov: {
-      // Batch of one through the same kernel every batched evaluation
-      // uses (one kernel per process; lane arithmetic is batch-size
-      // independent, so this equals any batched evaluation bitwise).
-      thread_local game::batch::Mem1Batch batch;
-      batch.clear();
-      batch.push_pair(si, sj, config_.game.noise);
-      double out = 0.0;
-      mem1_batch_payoffs(batch, {&out, 1});
-      return out;
-    }
+      return totals_of(game::batch::exact_pure_game_fast(
+          a.as_pure(), b.as_pure(), g.payoff, g.rounds));
     case Route::SampledStream:
+    case Route::Mem1Markov:
       break;
   }
-  EGT_REQUIRE_MSG(false, "pair_payoff requires a strategy-pure pair");
-  return 0.0;
+  const util::StreamRng rng(config_.seed, pair.stream_key);
+  // Sampled n-way play: g.rounds independent one-shot stage games.
+  return totals_of(g.uses_nway() ? game::spec::play_oneshot(g, a, b, rng)
+                                 : engine_.play(a, b, rng));
+}
+
+game::batch::BatchTotals PairEvaluator::evaluate_one(
+    const PairRequest& pair) const {
+  const Route r = route(*pair.a, *pair.b);
+  if (r != Route::Mem1Markov) return play_unbatched(r, pair);
+  game::batch::BatchTotals t;
+  evaluate({&pair, 1}, {&t, 1});
+  return t;
+}
+
+void PairEvaluator::evaluate(std::span<const PairRequest> pairs,
+                             std::span<game::batch::BatchTotals> out) const {
+  EGT_REQUIRE(out.size() >= pairs.size());
+  const game::GameSpec& g = config_.game;
+  // Mem1Markov pairs queue into one SoA batch; lanes[m] is the pair index
+  // of batch lane m. Every other route answers in place.
+  thread_local game::batch::Mem1Batch batch;
+  thread_local std::vector<std::size_t> lanes;
+  batch.clear();
+  lanes.clear();
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const Route r = route(*pairs[k].a, *pairs[k].b);
+    if (r == Route::Mem1Markov) {
+      batch.push_pair(*pairs[k].a, *pairs[k].b, g.noise);
+      lanes.push_back(k);
+    } else {
+      out[k] = play_unbatched(r, pairs[k]);
+    }
+  }
+  if (lanes.empty()) return;
+  if (lanes.size() == pairs.size()) {
+    // Every pair is a lane, in order: the kernel writes out directly.
+    game::batch::expected_totals_mem1(batch, g.payoff, g.rounds, out);
+    return;
+  }
+  thread_local std::vector<game::batch::BatchTotals> lane_out;
+  lane_out.resize(lanes.size());
+  game::batch::expected_totals_mem1(batch, g.payoff, g.rounds, lane_out);
+  for (std::size_t m = 0; m < lanes.size(); ++m) out[lanes[m]] = lane_out[m];
+}
+
+double PairEvaluator::pair_payoff(const game::Strategy& si,
+                                  const game::Strategy& sj) const {
+  EGT_REQUIRE_MSG(strategy_pure(si, sj),
+                  "pair_payoff requires a strategy-pure pair");
+  return evaluate_one({&si, &sj, 0}).payoff_a;
 }
 
 double PairEvaluator::payoff(const pop::Population& pop, pop::SSetId i,
                              pop::SSetId j, std::uint64_t gen_key) const {
   EGT_REQUIRE_MSG(config_.game.kind != game::GameKind::PublicGoods,
                   "public goods fitness is group-pooled, not pairwise");
-  const game::Strategy& si = pop.strategy(i);
-  const game::Strategy& sj = pop.strategy(j);
-  if (strategy_pure(si, sj)) {
-    // Exact methods: the value is a pure function of the strategy pair
-    // (the dedup-eligibility rule) and gen_key is ignored.
-    return pair_payoff(si, sj);
-  }
-  // No closed form: play a game on the (gen_key, i, j)-keyed stream.
-  util::StreamRng rng(config_.seed, util::stream_key(gen_key, i, j));
-  if (config_.game.uses_nway()) {
-    // Sampled n-way play: spec.rounds independent one-shot stage games.
-    return game::spec::play_oneshot(config_.game, si, sj, rng).payoff_a;
-  }
-  // Sampled streams, or stochastic memory>=2 under Analytic.
-  return engine_.play(si, sj, rng).payoff_a;
+  // Exact routes ignore the key: the value is a pure function of the
+  // strategy pair (the dedup-eligibility rule).
+  return evaluate_one({&pop.strategy(i), &pop.strategy(j),
+                       util::stream_key(gen_key, i, j)})
+      .payoff_a;
 }
 
 BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
@@ -102,10 +139,7 @@ BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
       end_(row_end),
       dedup_(config.dedup && config.fitness_mode == FitnessMode::Analytic &&
              config.game.kind != game::GameKind::PublicGoods),
-      pgg_(config.game.kind == game::GameKind::PublicGoods),
-      row_batchable_(config.fitness_mode == FitnessMode::Analytic && !pgg_ &&
-                     !game::spec::requires_spec_chain(config.game) &&
-                     config.memory == 1) {
+      pgg_(config.game.kind == game::GameKind::PublicGoods) {
   EGT_REQUIRE(row_begin <= row_end && row_end <= config.ssets);
   if (metrics != nullptr) {
     ct_cache_inserts_ = &metrics->counter("fitness.cache_inserts");
@@ -236,19 +270,31 @@ double BlockFitness::pair_value(const pop::Population& pop, pop::SSetId i,
   return eval_.payoff(pop, i, j, gen_key);
 }
 
-void BlockFitness::prefill_pair(const pop::Population& pop, pop::ClassId cr,
-                                pop::ClassId cc) {
+void BlockFitness::prefill_pairs(const pop::Population& pop,
+                                 std::span<const ClassPair> pairs) {
   const auto& classes = pop.classes();
-  const pop::StrategyClass& row = classes[cr];
-  const pop::StrategyClass& col = classes[cc];
-  if (!eval_.strategy_pure(row.strategy, col.strategy)) return;
-  const std::uint64_t key = game::Strategy::pair_key(row.hash, col.hash);
-  if (class_pay_.find(key) != class_pay_.end()) return;
-  class_pay_.emplace(
-      key, ClassPay{eval_.pair_payoff(row.strategy, col.strategy), row.hash,
-                    col.hash});
-  ++games_;
-  if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
+  std::vector<PairRequest> reqs;
+  std::vector<ClassPay> fresh;
+  for (const auto& [cr, cc] : pairs) {
+    const pop::StrategyClass& row = classes[cr];
+    const pop::StrategyClass& col = classes[cc];
+    if (!eval_.strategy_pure(row.strategy, col.strategy)) continue;
+    if (class_pay_.count(game::Strategy::pair_key(row.hash, col.hash)) != 0) {
+      continue;
+    }
+    reqs.push_back({&row.strategy, &col.strategy, 0});
+    fresh.push_back({0.0, row.hash, col.hash});
+  }
+  if (reqs.empty()) return;
+  std::vector<game::batch::BatchTotals> vals(reqs.size());
+  eval_.evaluate(reqs, vals);
+  for (std::size_t m = 0; m < fresh.size(); ++m) {
+    fresh[m].payoff = vals[m].payoff_a;
+    class_pay_.emplace(game::Strategy::pair_key(fresh[m].a, fresh[m].b),
+                       fresh[m]);
+    ++games_;
+    if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
+  }
 }
 
 void BlockFitness::prefill_class(const pop::Population& pop, pop::ClassId cr) {
@@ -256,41 +302,48 @@ void BlockFitness::prefill_class(const pop::Population& pop, pop::ClassId cr) {
   // games_played stays identical to the serial lazy path for any thread
   // count: every live column class — except the self pair of a singleton
   // class, which no (i, j != i) ever realizes.
-  //
-  // The Mem1Markov misses are gathered into one SoA batch (fed straight
-  // from the population's interned class-table view) and run through a
-  // single kernel call; other routes evaluate per pair. Lane arithmetic is
-  // batch-size independent, so the cached values equal the per-pair path
-  // bitwise, and each batched pair still counts as one game.
   const auto& classes = pop.classes();
-  const pop::StrategyClass& row = classes[cr];
-  game::batch::Mem1Batch batch;
-  std::vector<const pop::StrategyClass*> cols;
+  std::vector<ClassPair> pairs;
   for (pop::ClassId cc = 0; cc < classes.size(); ++cc) {
     if (classes[cc].members == 0) continue;
     if (cc == cr && classes[cc].members < 2) continue;
-    const pop::StrategyClass& col = classes[cc];
-    if (eval_.route(row.strategy, col.strategy) !=
-            PairEvaluator::Route::Mem1Markov ||
-        !pop.mem1_batchable(cr) || !pop.mem1_batchable(cc)) {
-      prefill_pair(pop, cr, cc);
-      continue;
-    }
-    const std::uint64_t key = game::Strategy::pair_key(row.hash, col.hash);
-    if (class_pay_.find(key) != class_pay_.end()) continue;
-    batch.push_probs(pop.mem1_probs(cr), pop.mem1_probs(cc),
-                     config_.game.noise);
-    cols.push_back(&col);
+    pairs.push_back({cr, cc});
   }
-  if (batch.empty()) return;
-  std::vector<double> vals(batch.size());
-  eval_.mem1_batch_payoffs(batch, vals);
-  for (std::size_t k = 0; k < cols.size(); ++k) {
-    class_pay_.emplace(game::Strategy::pair_key(row.hash, cols[k]->hash),
-                       ClassPay{vals[k], row.hash, cols[k]->hash});
-    ++games_;
-    if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
+  prefill_pairs(pop, pairs);
+}
+
+void BlockFitness::prefill_neighbors(const pop::Population& pop,
+                                     pop::SSetId i) {
+  // One pair at a time: two neighbours may share a class.
+  const pop::ClassId ci = pop.strategy_class(i);
+  for (const pop::SSetId j : graph_->neighbors(i)) {
+    const ClassPair pair{ci, pop.strategy_class(j)};
+    prefill_pairs(pop, {&pair, 1});
   }
+}
+
+void BlockFitness::prefill_column(pop::SSetId k, const pop::Population& pop) {
+  // A noise-free all-pure population takes the pure walker on every pair,
+  // which the delta loop's lazy misses play cheaply one at a time.
+  if (!dedup_) return;
+  if (config_.game.noise == 0.0 && pop.mixed_class_count() == 0) return;
+  // Each (c_i, c_k) key once, in first-row order; the delta loop then
+  // walks the same rows and only hits the cache.
+  const pop::ClassId ck = pop.strategy_class(k);
+  if (class_seen_.size() < pop.classes().size()) {
+    class_seen_.resize(pop.classes().size());
+  }
+  std::vector<ClassPair> pairs;
+  for (pop::SSetId i = begin_; i < end_; ++i) {
+    if (i == k) continue;
+    if (structured() && !graph_->are_neighbors(i, k)) continue;
+    const pop::ClassId ci = pop.strategy_class(i);
+    if (class_seen_[ci] != 0) continue;
+    class_seen_[ci] = 1;
+    pairs.push_back({ci, ck});
+  }
+  for (const auto& [ci, cc] : pairs) class_seen_[ci] = 0;
+  prefill_pairs(pop, pairs);
 }
 
 void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
@@ -304,17 +357,14 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
   const bool use_agent_pool = agent_pool_ != nullptr && !nested;
   if (dedup_ && !nested) {
     // Serial control path: make every strategy-pure pair of this row a
-    // guaranteed hit first — prefill_class batches the Mem1Markov misses
-    // through one SoA kernel call, and the agent tier (when active) then
-    // reads the cache from several threads without ever inserting.
-    // Structured rows only ever touch their neighbours' classes.
-    const pop::ClassId ci = pop.strategy_class(i);
+    // guaranteed hit first — prefill_class plays the misses through one
+    // evaluate() call, and the agent tier (when active) then reads the
+    // cache from several threads without ever inserting. Structured rows
+    // only ever touch their neighbours' classes.
     if (structured()) {
-      for (pop::SSetId j : graph_->neighbors(i)) {
-        prefill_pair(pop, ci, pop.strategy_class(j));
-      }
+      prefill_neighbors(pop, i);
     } else {
-      prefill_class(pop, ci);
+      prefill_class(pop, pop.strategy_class(i));
     }
   }
   double sum = 0.0;
@@ -354,49 +404,6 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
     fitness_[row] = sum * row_scale(i);
     return;
   }
-  if (row_batchable_ && !dedup_ && !use_agent_pool) {
-    // SoA row batch (DESIGN.md §12): every Mem1Markov pair of this row
-    // goes through one batch kernel call, fed from the interned class
-    // table's SoA view; other routes (PureExact walker, rare mixed-in
-    // pure pairs) fall back to per-pair evaluation. The final sum still
-    // walks j in fixed order over the same per-pair values — one kernel
-    // per process and batch-size-independent lanes make this
-    // bit-identical to the per-pair loop.
-    thread_local game::batch::Mem1Batch batch;
-    thread_local std::vector<double> vals;
-    thread_local std::vector<double> bvals;
-    thread_local std::vector<pop::SSetId> bj;
-    batch.clear();
-    bj.clear();
-    if (vals.size() < config_.ssets) vals.resize(config_.ssets);
-    const game::Strategy& si = pop.strategy(i);
-    const pop::ClassId ci = pop.strategy_class(i);
-    for (pop::SSetId j = 0; j < config_.ssets; ++j) {
-      if (j == i) continue;
-      const pop::ClassId cj = pop.strategy_class(j);
-      if (eval_.route(si, pop.strategy(j)) ==
-              PairEvaluator::Route::Mem1Markov &&
-          pop.mem1_batchable(ci) && pop.mem1_batchable(cj)) {
-        batch.push_probs(pop.mem1_probs(ci), pop.mem1_probs(cj),
-                         config_.game.noise);
-        bj.push_back(j);
-      } else {
-        vals[j] = pair_value(pop, i, j, gen_key, counts.games, !nested);
-      }
-    }
-    if (bvals.size() < batch.size()) bvals.resize(batch.size());
-    eval_.mem1_batch_payoffs(batch, {bvals.data(), batch.size()});
-    counts.games += bj.size();  // one expected-payoff evaluation per pair
-    for (std::size_t k = 0; k < bj.size(); ++k) vals[bj[k]] = bvals[k];
-    for (pop::SSetId j = 0; j < config_.ssets; ++j) {
-      if (j == i) continue;
-      ++counts.pairs;
-      if (cached()) matrix_[row * config_.ssets + j] = vals[j];
-      sum += vals[j];
-    }
-    fitness_[row] = sum * row_scale(i);
-    return;
-  }
   if (use_agent_pool) {
     // Agent tier: the row's games run concurrently into a buffer; the sum
     // is then taken in fixed j order, so the result is bit-identical to
@@ -419,6 +426,30 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
       if (cached()) matrix_[row * config_.ssets + j] = row_scratch_[j];
       sum += row_scratch_[j];
     }
+  } else if (!dedup_) {
+    // The whole row in one evaluate() call: its Mem1Markov pairs share one
+    // batch kernel call, every other pair plays its own route. The sum
+    // still walks j in fixed order over the same per-pair values, so this
+    // is bitwise the per-pair loop.
+    thread_local std::vector<PairRequest> reqs;
+    thread_local std::vector<game::batch::BatchTotals> vals;
+    reqs.clear();
+    for (pop::SSetId j = 0; j < config_.ssets; ++j) {
+      if (j == i) continue;
+      reqs.push_back({&pop.strategy(i), &pop.strategy(j),
+                      util::stream_key(gen_key, i, j)});
+    }
+    vals.resize(reqs.size());
+    eval_.evaluate(reqs, vals);
+    counts.pairs += reqs.size();
+    counts.games += reqs.size();
+    std::size_t m = 0;
+    for (pop::SSetId j = 0; j < config_.ssets; ++j) {
+      if (j == i) continue;
+      const double v = vals[m++].payoff_a;
+      if (cached()) matrix_[row * config_.ssets + j] = v;
+      sum += v;
+    }
   } else {
     for (pop::SSetId j = 0; j < config_.ssets; ++j) {
       if (j == i) continue;
@@ -439,15 +470,10 @@ void BlockFitness::evaluate_rows(const pop::Population& pop,
     // serially and up front. Pool workers then only ever read the cache
     // (the hit set is guaranteed and games_played stays
     // thread-count-invariant), and the serial path inserts the same key
-    // set it would have inserted lazily — but through prefill_class's SoA
-    // batches instead of one kernel call per miss.
+    // set it would have inserted lazily — but through one evaluate() call
+    // per row class instead of one kernel call per miss.
     if (structured()) {
-      for (pop::SSetId i = begin_; i < end_; ++i) {
-        const pop::ClassId ci = pop.strategy_class(i);
-        for (pop::SSetId j : graph_->neighbors(i)) {
-          prefill_pair(pop, ci, pop.strategy_class(j));
-        }
-      }
+      for (pop::SSetId i = begin_; i < end_; ++i) prefill_neighbors(pop, i);
     } else {
       std::vector<pop::ClassId> row_classes;
       row_classes.reserve(rows);
@@ -514,6 +540,7 @@ void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
   if (k >= begin_ && k < end_) {
     recompute_row(k, pop, generation, counts, false);
   }
+  prefill_column(k, pop);
   for (pop::SSetId i = begin_; i < end_; ++i) {
     if (i == k) continue;
     if (structured() && !graph_->are_neighbors(i, k)) continue;
@@ -521,8 +548,9 @@ void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
         static_cast<std::size_t>(i - begin_) * config_.ssets + k;
     // Incremental class-delta update: the fresh value comes from the
     // class-pair cache when the pair is strategy-pure (one game per new
-    // class pair), and matrix_ still holds the pre-change value, so the
-    // fitness delta needs no old-class bookkeeping.
+    // class pair; prefill_column has already played the Mem1Markov ones),
+    // and matrix_ still holds the pre-change value, so the fitness delta
+    // needs no old-class bookkeeping.
     const double fresh = pair_value(pop, i, k, generation, counts.games, true);
     ++counts.pairs;
     fitness_[i - begin_] += (fresh - matrix_[idx]) * row_scale(i);

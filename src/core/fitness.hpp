@@ -12,17 +12,23 @@
 // parallel rank owns one block (memory then scales as rows/rank * ssets,
 // mirroring the paper's per-node strategy-space storage).
 //
+// Every game is played through PairEvaluator::evaluate, one batched call
+// that routes each pair (DESIGN.md §12) and returns both sides' payoff and
+// cooperation totals; the analysis reports use the same call.
+//
 // Two orthogonal accelerations sit on top of the brute-force block:
 //
 //  * Strategy-interned dedup (config.dedup, Analytic mode): whenever the
 //    pairwise payoff is a *pure function of the strategy pair* — the
 //    dedup-eligibility rule, satisfied exactly where an exact method
-//    applies (deterministic pure pair via exact_pure_game, or memory-one
-//    via expected_game_mem1) — the engine plays one game per unique
+//    applies (deterministic pure pair via the pure walker, or memory-one
+//    via the batch Markov kernel) — the engine plays one game per unique
 //    (class_i, class_j) from the population's interned class table and
 //    reuses the value for every SSet pair in those classes: O(u^2) games
-//    for u unique strategies instead of O(ssets^2). Row sums still walk
-//    every j in fixed order over the cached values, so fitness, matrix and
+//    for u unique strategies instead of O(ssets^2). The missing class
+//    pairs of a row (initialize) or of a changed column (strategy_changed)
+//    are played as one evaluate() call each. Row sums still walk every j
+//    in fixed order over the cached values, so fitness, matrix and
 //    trajectories are bit-identical to brute force; only games_played
 //    drops. Pairs whose payoff is (i, j)-keyed (Sampled/SampledFrozen
 //    streams, the Analytic fall-through for stochastic memory>=2) are
@@ -38,11 +44,11 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
 #include "game/batch.hpp"
-#include "game/markov.hpp"
 #include "game/spec/chain.hpp"
 #include "obs/metrics.hpp"
 #include "par/threadpool.hpp"
@@ -50,7 +56,19 @@
 
 namespace egt::core {
 
-/// Stateless per-pair payoff evaluation under a SimConfig.
+/// One strategy pair for PairEvaluator::evaluate. The exact routes read
+/// only the two strategies; the SampledStream route plays the stream
+/// StreamRng(config.seed, stream_key) — the fitness tier passes
+/// util::stream_key(gen_key, i, j), so the value is (i, j)-keyed.
+struct PairRequest {
+  const game::Strategy* a = nullptr;
+  const game::Strategy* b = nullptr;
+  std::uint64_t stream_key = 0;
+};
+
+/// Stateless pair evaluation under a SimConfig. evaluate() is the one way
+/// strategy pairs are played at runtime; payoff() and pair_payoff() are
+/// views of it, and mem1_batch_payoffs() is its Mem1Markov lane.
 class PairEvaluator {
  public:
   explicit PairEvaluator(const SimConfig& config);
@@ -65,15 +83,26 @@ class PairEvaluator {
                     ///< cycle walker (batch::exact_pure_game_fast)
     Mem1Markov,     ///< memory-one analytic: SoA batch kernel
                     ///< (batch::expected_totals_mem1, AVX2 or scalar)
-    SampledStream,  ///< (gen_key, i, j)-keyed stream play — never
-                    ///< deduplicated, never batched
+    SampledStream,  ///< stream-keyed play — never deduplicated, never
+                    ///< batched
   };
   Route route(const game::Strategy& si,
               const game::Strategy& sj) const noexcept;
 
-  /// Batch twin of pair_payoff for Route::Mem1Markov pairs: out[k] gets
-  /// the row-side payoff of the batch's pair k, each bit-identical to
-  /// pair_payoff on that pair (lane arithmetic is batch-size independent).
+  /// Play a list of pairs: out[k] receives pair k's game totals over
+  /// config.game.rounds rounds — both sides' payoffs and cooperation
+  /// counts, as expectations on the exact routes (SNIPPETS.md's
+  /// get_payoff_and_coop shape: one game answers both players). Each pair
+  /// takes its route(); all Mem1Markov pairs of the call share one batch
+  /// kernel call. Lane arithmetic is batch-size independent, so every
+  /// value is bitwise what a call with that pair alone returns.
+  /// `out.size() >= pairs.size()`.
+  void evaluate(std::span<const PairRequest> pairs,
+                std::span<game::batch::BatchTotals> out) const;
+
+  /// evaluate()'s Mem1Markov lane for callers that pack a Mem1Batch
+  /// themselves: out[k] gets the row-side payoff of the batch's pair k,
+  /// bitwise equal to evaluate() on that pair.
   void mem1_batch_payoffs(const game::batch::Mem1Batch& batch,
                           std::span<double> out) const;
 
@@ -98,6 +127,14 @@ class PairEvaluator {
   const game::IpdEngine& engine() const noexcept { return engine_; }
 
  private:
+  /// evaluate() on a single pair (payoff and pair_payoff): a pair off the
+  /// Mem1Markov route skips the batch scratch.
+  game::batch::BatchTotals evaluate_one(const PairRequest& pair) const;
+
+  /// One pair on a route other than Mem1Markov.
+  game::batch::BatchTotals play_unbatched(Route r,
+                                          const PairRequest& pair) const;
+
   SimConfig config_;
   game::IpdEngine engine_;
 };
@@ -230,14 +267,27 @@ class BlockFitness {
                     std::uint64_t gen_key, std::uint64_t& games,
                     bool allow_insert);
 
-  /// Cache the (cr, cc) payoff if the pair is strategy-pure and missing
-  /// (serial; run before handing rows to a pool).
-  void prefill_pair(const pop::Population& pop, pop::ClassId cr,
-                    pop::ClassId cc);
+  /// A (row class, column class) pair of the dedup cache.
+  using ClassPair = std::pair<pop::ClassId, pop::ClassId>;
+
+  /// Play every strategy-pure pair of `pairs` the cache lacks through one
+  /// evaluate() call and cache it; each counts as one game, exactly as the
+  /// lazy miss it replaces (serial; run before handing rows to a pool).
+  /// `pairs` must not repeat a pair.
+  void prefill_pairs(const pop::Population& pop,
+                     std::span<const ClassPair> pairs);
 
   /// Prefill every (cr, live class) pair a well-mixed row of class `cr`
   /// can touch (skips a singleton class's unreachable self pair).
   void prefill_class(const pop::Population& pop, pop::ClassId cr);
+
+  /// Prefill the pairs structured row `i` plays against its neighbours.
+  void prefill_neighbors(const pop::Population& pop, pop::SSetId i);
+
+  /// strategy_changed's column k in one evaluate() call: prefill each
+  /// (c_i, c_k) pair the owned rows touch (dedup mode only; skipped when
+  /// every pair takes the pure walker).
+  void prefill_column(pop::SSetId k, const pop::Population& pop);
 
   /// recompute_row with `nested` set runs inside the SSet-row pool: it
   /// must not touch shared scratch (agent tier) or mutate the cache.
@@ -266,13 +316,10 @@ class BlockFitness {
   pop::SSetId end_;
   bool dedup_ = false;
   bool pgg_ = false;  ///< GameKind::PublicGoods: group-pooled fitness
-  /// Analytic binary-game memory-one config: well-mixed non-dedup rows run
-  /// through the SoA row batch (one kernel call per row) instead of
-  /// per-pair evaluation.
-  bool row_batchable_ = false;
   std::vector<double> fitness_;         // per owned row (scaled sums)
   std::vector<double> matrix_;          // cached modes: rows x ssets payoffs
   std::vector<double> row_scratch_;     // agent-tier evaluation buffer
+  std::vector<std::uint8_t> class_seen_;  // prefill_column marks, by ClassId
   std::unique_ptr<par::ThreadPool> agent_pool_;  // paper's second tier
   std::unique_ptr<par::ThreadPool> sset_pool_;   // SSet-row tier
   // Dedup class-pair cache: Strategy::pair_key(a, b) → payoff.

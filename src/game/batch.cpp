@@ -34,13 +34,6 @@ void Mem1Batch::push_pair(const Strategy& a, const Strategy& b, double eps) {
   }
 }
 
-void Mem1Batch::push_probs(const double* ca, const double* cb, double eps) {
-  for (int o = 0; o < 4; ++o) {
-    pa_[o].push_back(noisy(ca[o], eps));
-    pb_[o].push_back(noisy(cb[swap_outcome(o)], eps));
-  }
-}
-
 void expected_totals_mem1_scalar(const Mem1Batch& batch,
                                  const PayoffMatrix& payoff,
                                  std::uint32_t rounds, BatchTotals* out) {

@@ -57,15 +57,9 @@ class Mem1Batch {
   std::size_t size() const noexcept { return pa_[0].size(); }
   bool empty() const noexcept { return pa_[0].empty(); }
 
-  /// Append pair (a, b); both must be memory-one (pure or mixed).
+  /// Append pair (a, b); both must be memory-one (pure or mixed). Noise
+  /// and B's perspective swap are applied here.
   void push_pair(const Strategy& a, const Strategy& b, double eps);
-
-  /// Append a pair from raw outcome-conditioned cooperation probabilities
-  /// (A's perspective for both, as stored by the pop-layer SoA class
-  /// table): ca[o] = P(A cooperates | outcome o), cb likewise for B over
-  /// *B's own* outcome encoding. Noise and B's perspective swap are
-  /// applied here.
-  void push_probs(const double* ca, const double* cb, double eps);
 
   /// pa(o)[k] = P(pair k's A cooperates | previous outcome o).
   std::span<const double> pa(int o) const noexcept { return pa_[o]; }

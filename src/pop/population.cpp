@@ -87,26 +87,8 @@ ClassId Population::intern(game::Strategy s) {
   }
   chain.push_back(c);
   ++live_classes_;
-  refresh_mem1(c);
+  if (!classes_[c].strategy.is_pure()) ++mixed_classes_;
   return c;
-}
-
-void Population::refresh_mem1(ClassId c) {
-  const auto need = static_cast<std::size_t>(c) + 1;
-  if (mem1_valid_.size() < need) {
-    mem1_valid_.resize(need, 0);
-    mem1_probs_.resize(4 * need, 0.0);
-  }
-  const game::Strategy& s = classes_[c].strategy;
-  if (s.is_nway() || s.memory() != 1) {
-    mem1_valid_[c] = 0;
-    return;
-  }
-  for (int o = 0; o < 4; ++o) {
-    mem1_probs_[4 * static_cast<std::size_t>(c) + o] =
-        s.coop_prob(static_cast<game::State>(o));
-  }
-  mem1_valid_[c] = 1;
 }
 
 void Population::release(ClassId c) {
@@ -117,11 +99,11 @@ void Population::release(ClassId c) {
   auto& chain = it->second;
   chain.erase(std::find(chain.begin(), chain.end(), c));
   if (chain.empty()) by_hash_.erase(it);
+  if (!slot.strategy.is_pure()) --mixed_classes_;
   slot.strategy = game::Strategy();  // drop the payload of a free slot
   slot.hash = 0;
   free_slots_.push_back(c);
   --live_classes_;
-  if (c < mem1_valid_.size()) mem1_valid_[c] = 0;
 }
 
 std::uint64_t Population::table_hash() const noexcept {

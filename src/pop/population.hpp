@@ -88,28 +88,17 @@ class Population {
   /// diversity u; the dedup fitness engine plays O(u^2) games.
   std::uint32_t class_count() const noexcept { return live_classes_; }
 
+  /// Number of live classes whose strategy is not pure (mixed or n-way).
+  /// Zero means every pair of the population is deterministic at zero
+  /// noise.
+  std::uint32_t mixed_class_count() const noexcept { return mixed_classes_; }
+
   /// Content hash of the whole strategy table (integration-test equality).
   std::uint64_t table_hash() const noexcept;
-
-  /// True when class `c` can feed the memory-one batch kernel: a live
-  /// binary-game strategy of memory depth one (pure or mixed, not n-way).
-  bool mem1_batchable(ClassId c) const noexcept {
-    return c < mem1_valid_.size() && mem1_valid_[c] != 0;
-  }
-
-  /// SoA view of the class table for the batch fitness kernel
-  /// (game/batch.hpp): the four outcome-conditioned cooperation
-  /// probabilities of class `c`, indexed by the previous outcome from the
-  /// class's own perspective. Only valid when mem1_batchable(c); kept
-  /// current incrementally by intern/release.
-  const double* mem1_probs(ClassId c) const noexcept {
-    return mem1_probs_.data() + 4 * static_cast<std::size_t>(c);
-  }
 
  private:
   ClassId intern(game::Strategy s);
   void release(ClassId c);
-  void refresh_mem1(ClassId c);
 
   std::vector<game::Strategy> strategies_;
   std::vector<double> fitness_;
@@ -120,11 +109,7 @@ class Population {
   // collision; equality is always verified before sharing a class).
   std::unordered_map<std::uint64_t, std::vector<ClassId>> by_hash_;
   std::uint32_t live_classes_ = 0;
-  // Structure-of-arrays mirror of the class table for the batch kernel:
-  // mem1_probs_[4c + o] = P(class c cooperates | previous outcome o), valid
-  // only where mem1_valid_[c] != 0.
-  std::vector<double> mem1_probs_;
-  std::vector<std::uint8_t> mem1_valid_;
+  std::uint32_t mixed_classes_ = 0;
 };
 
 }  // namespace egt::pop

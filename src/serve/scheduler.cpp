@@ -366,9 +366,19 @@ void Scheduler::drain() {
   });
 }
 
-void Scheduler::shutdown() {
-  graceful_.store(true, std::memory_order_relaxed);
+void Scheduler::raise_stop_flag(std::atomic<bool>& flag) {
+  {
+    // Set under mu_: a worker checks the flags and then waits on work_cv_
+    // under the same lock, so it either sees the flag or is already
+    // waiting when the notify below arrives (no lost wake-up).
+    std::lock_guard<std::mutex> lock(mu_);
+    flag.store(true, std::memory_order_relaxed);
+  }
   work_cv_.notify_all();
+}
+
+void Scheduler::shutdown() {
+  raise_stop_flag(graceful_);
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
@@ -377,8 +387,7 @@ void Scheduler::shutdown() {
 }
 
 void Scheduler::hard_stop() {
-  hard_.store(true, std::memory_order_relaxed);
-  work_cv_.notify_all();
+  raise_stop_flag(hard_);
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }

@@ -227,6 +227,8 @@ class Scheduler {
   };
 
   void worker_main();
+  /// Set a stop flag under mu_ and wake every worker.
+  void raise_stop_flag(std::atomic<bool>& flag);
   JobRec* pick_runnable_locked(std::chrono::steady_clock::time_point now);
   std::optional<std::chrono::steady_clock::time_point> earliest_backoff_locked()
       const;

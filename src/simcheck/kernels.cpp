@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "analysis/coop.hpp"
 #include "game/batch.hpp"
 #include "game/ipd.hpp"
 #include "game/markov.hpp"
@@ -158,7 +159,121 @@ void check_pure(KernelReport& report, util::Xoshiro256& rng) {
   report.checks.push_back(std::move(sampled));
 }
 
+/// (A's coop rate, A's per-round payoff) of one ordered pair game.
+std::pair<double, double> oracle_pair(const game::Strategy& a,
+                                      const game::Strategy& b,
+                                      const game::IpdParams& params,
+                                      std::uint64_t stream_key) {
+  if (a.is_pure() && b.is_pure() && params.noise == 0.0) {
+    const auto g = game::markov::exact_pure_game(a.as_pure(), b.as_pure(),
+                                                 params.payoff, params.rounds);
+    return {static_cast<double>(g.coop_a) / g.rounds, g.mean_payoff_a()};
+  }
+  if (a.memory() == 1) {
+    const auto o = game::markov::finite_outcome_mem1(
+        a, b, params.payoff, params.rounds, params.noise);
+    return {o.coop_a, o.payoff_a};
+  }
+  const game::IpdEngine engine(a.memory(), params);
+  const auto g = engine.play(
+      a, b, util::StreamRng(analysis::kSampleStreamSeed, stream_key));
+  return {static_cast<double>(g.coop_a) / g.rounds, g.mean_payoff_a()};
+}
+
+/// A population of `n` SSets drawn from a pool of `distinct` strategies,
+/// so it holds repeated classes and (usually) singletons.
+pop::Population sample_population(util::Xoshiro256& rng, pop::SSetId n,
+                                  std::size_t distinct, int memory,
+                                  bool mixed) {
+  std::vector<game::Strategy> pool;
+  for (std::size_t k = 0; k < distinct; ++k) {
+    if (mixed) {
+      pool.emplace_back(game::MixedStrategy::random(memory, rng));
+    } else {
+      pool.emplace_back(game::PureStrategy::random(memory, rng));
+    }
+  }
+  std::vector<game::Strategy> ss;
+  for (pop::SSetId i = 0; i < n; ++i) {
+    ss.push_back(pool[util::uniform_below(rng, pool.size())]);
+  }
+  return pop::Population(std::move(ss));
+}
+
+/// Batched, class-deduplicated report vs the per-pair oracle.
+void check_report(KernelReport& report, util::Xoshiro256& rng) {
+  KernelCheck c{"report.batched_vs_per_pair", true, 0, 0.0, {}};
+  for (int iter = 0; iter < 32; ++iter) {
+    // Cases: mixed memory-one at noise 0 and 0.05, pure memory-one with
+    // and without noise, pure memory-two at noise 0.
+    const int kind = iter % 5;
+    const bool mixed = kind < 2;
+    const int memory = kind == 4 ? 2 : 1;
+    game::IpdParams params;
+    params.payoff = sample_payoff(rng, iter % 2 == 0);
+    params.rounds =
+        static_cast<std::uint32_t>(1 + util::uniform_below(rng, 300));
+    params.noise = (kind == 1 || kind == 3) ? 0.05 : 0.0;
+    const auto n = static_cast<pop::SSetId>(2 + util::uniform_below(rng, 39));
+    const std::size_t distinct = 1 + util::uniform_below(rng, n);
+    const pop::Population pop =
+        sample_population(rng, n, distinct, memory, mixed);
+
+    const analysis::CooperationReport got =
+        analysis::expected_play_cooperation(pop, params);
+    const analysis::CooperationReport want = per_pair_report(pop, params);
+    c.cases++;
+    double worst = std::max(rel_err(got.mean_coop_rate, want.mean_coop_rate),
+                            rel_err(got.mean_payoff, want.mean_payoff));
+    for (pop::SSetId i = 0; i < n; ++i) {
+      worst = std::max(
+          worst, rel_err(got.per_sset_coop[i], want.per_sset_coop[i]));
+    }
+    c.worst_rel = std::max(c.worst_rel, worst);
+    if (worst > kCrossKernelTol) {
+      std::ostringstream os;
+      os << "report vs per-pair oracle rel err " << worst << " > "
+         << kCrossKernelTol << " at iter " << iter << " (" << n
+         << " SSets, " << distinct << " strategies)";
+      note_failure(c, os.str());
+    }
+  }
+  if (c.detail.empty()) {
+    std::ostringstream os;
+    os << "worst rel err " << c.worst_rel;
+    c.detail = os.str();
+  }
+  report.checks.push_back(std::move(c));
+}
+
 }  // namespace
+
+analysis::CooperationReport per_pair_report(const pop::Population& pop,
+                                            const game::IpdParams& params,
+                                            std::uint64_t sample_seed) {
+  const pop::SSetId n = pop.size();
+  analysis::CooperationReport rep;
+  rep.per_sset_coop.assign(n, 0.0);
+  double coop_total = 0.0;
+  double payoff_total = 0.0;
+  for (pop::SSetId i = 0; i < n; ++i) {
+    double coop_i = 0.0;
+    for (pop::SSetId j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const auto [coop, payoff] =
+          oracle_pair(pop.strategy(i), pop.strategy(j), params,
+                      util::stream_key(sample_seed, i, j));
+      coop_i += coop;
+      payoff_total += payoff;
+    }
+    rep.per_sset_coop[i] = coop_i / (n - 1);
+    coop_total += coop_i;
+  }
+  const double games = static_cast<double>(n) * (n - 1);
+  rep.mean_coop_rate = coop_total / games;
+  rep.mean_payoff = payoff_total / games;
+  return rep;
+}
 
 KernelReport run_kernel_checks(std::uint64_t seed) {
   KernelReport report;
@@ -167,6 +282,7 @@ KernelReport run_kernel_checks(std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   check_mem1(report, rng);
   check_pure(report, rng);
+  check_report(report, rng);
   return report;
 }
 

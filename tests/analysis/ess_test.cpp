@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "game/enumerate.hpp"
+#include "game/markov.hpp"
 #include "game/named.hpp"
+#include "game/simd.hpp"
 
 namespace egt::analysis {
 namespace {
@@ -101,6 +106,80 @@ TEST(Ess, ValidatesArguments) {
                                       game::Strategy(game::named::all_d(2)),
                                       8, noisy),
                std::invalid_argument);
+}
+
+// --- analyze_invasion vs per-pair markov oracles -------------------------
+
+/// Per-round payoff of `a` against `b` (A's side) from the markov oracles.
+double oracle_payoff(const game::Strategy& a, const game::Strategy& b,
+                     const game::IpdParams& params) {
+  if (a.is_pure() && b.is_pure() && params.noise == 0.0) {
+    return game::markov::exact_pure_game(a.as_pure(), b.as_pure(),
+                                         params.payoff, params.rounds)
+        .mean_payoff_a();
+  }
+  return game::markov::finite_outcome_mem1(a, b, params.payoff, params.rounds,
+                                           params.noise)
+      .payoff_a;
+}
+
+void expect_invasion_matches_oracle(const game::Strategy& resident,
+                                    const game::Strategy& mutant,
+                                    std::uint32_t n,
+                                    const game::IpdParams& params) {
+  const double rr = oracle_payoff(resident, resident, params);
+  const double rm = oracle_payoff(resident, mutant, params);
+  const double mr = oracle_payoff(mutant, resident, params);
+  const double resident_fitness =
+      (static_cast<double>(n - 2) * rr + rm) / static_cast<double>(n - 1);
+  const auto a = analyze_invasion(resident, mutant, n, params);
+  EXPECT_LE(std::fabs(a.mutant_fitness - mr), 1e-12 * std::fabs(mr));
+  EXPECT_LE(std::fabs(a.resident_fitness - resident_fitness),
+            1e-12 * std::fabs(resident_fitness));
+}
+
+TEST(EssBatched, AllPureMemory1PairsMatchTheOracles) {
+  game::IpdParams noisy = kClean;
+  noisy.noise = 0.05;
+  for (const auto& r : game::all_pure_strategies(1)) {
+    for (const auto& m : game::all_pure_strategies(1)) {
+      expect_invasion_matches_oracle(game::Strategy(r), game::Strategy(m), 16,
+                                     kClean);
+      expect_invasion_matches_oracle(game::Strategy(r), game::Strategy(m), 16,
+                                     noisy);
+    }
+  }
+}
+
+TEST(EssBatched, MixedMemory1PairsMatchTheOracles) {
+  util::Xoshiro256 rng(5);
+  game::IpdParams noisy = kClean;
+  noisy.noise = 0.05;
+  for (int k = 0; k < 32; ++k) {
+    const game::Strategy r = game::MixedStrategy::random(1, rng);
+    const game::Strategy m = game::MixedStrategy::random(1, rng);
+    expect_invasion_matches_oracle(r, m, 10, k % 2 == 0 ? kClean : noisy);
+  }
+}
+
+TEST(EssBatched, ForcedScalarMatchesTheOracles) {
+  game::simd::set_force_scalar(true);
+  util::Xoshiro256 rng(6);
+  for (int k = 0; k < 16; ++k) {
+    const game::Strategy r = game::MixedStrategy::random(1, rng);
+    const game::Strategy m = game::PureStrategy::random(1, rng);
+    expect_invasion_matches_oracle(r, m, 10, kClean);
+  }
+  game::simd::set_force_scalar(false);
+}
+
+TEST(EssBatched, PureMemory2PairsMatchTheOracles) {
+  util::Xoshiro256 rng(7);
+  for (int k = 0; k < 32; ++k) {
+    const game::Strategy r = game::PureStrategy::random(2, rng);
+    const game::Strategy m = game::PureStrategy::random(2, rng);
+    expect_invasion_matches_oracle(r, m, 12, kClean);
+  }
 }
 
 }  // namespace

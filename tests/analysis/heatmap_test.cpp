@@ -13,7 +13,11 @@ namespace {
 
 class HeatmapTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "egt_heatmap.ppm";
+  // One file per test: ctest -j runs the tests of this fixture at once.
+  std::string path_ =
+      ::testing::TempDir() + "egt_heatmap_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".ppm";
   void TearDown() override { std::remove(path_.c_str()); }
 
   std::string slurp() {

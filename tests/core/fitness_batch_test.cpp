@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/fitness.hpp"
 #include "game/simd.hpp"
 #include "game/spec/registry.hpp"
+#include "obs/metrics.hpp"
 #include "pop/population.hpp"
 #include "util/rng.hpp"
 
@@ -194,6 +199,193 @@ TEST(BatchFitness, PureExactPathKernelSwitchInvariant) {
   for (std::size_t i = 0; i < active.size(); ++i) {
     EXPECT_EQ(active[i], scalar[i]) << "row " << i;
   }
+}
+
+// Per-pair model of a dedup block's incremental update: every value comes
+// from PairEvaluator::pair_payoff one pair at a time, in the order the lazy
+// per-pair path visits pairs, and the class-pair cache is modelled as the
+// set of keys played so far (a key's first visit is its one game and its
+// one cache insert), pruned by BlockFitness's rule. Seeded from a real
+// block right after initialize.
+class PerPairBlock {
+ public:
+  PerPairBlock(const SimConfig& cfg, const BlockFitness& seed,
+               std::uint64_t cache_inserts)
+      : cfg_(cfg),
+        eval_(cfg),
+        begin_(seed.row_begin()),
+        end_(seed.row_end()),
+        fitness_(seed.block().begin(), seed.block().end()),
+        matrix_(seed.payoff_matrix().begin(), seed.payoff_matrix().end()),
+        pairs_(seed.pairs_evaluated()),
+        games_(seed.games_played()),
+        inserts_(cache_inserts) {
+    for (const auto& e : seed.dedup_cache()) {
+      keys_.emplace(game::Strategy::pair_key(e.a, e.b),
+                    std::make_pair(e.a, e.b));
+    }
+  }
+
+  void strategy_changed(pop::SSetId k, const pop::Population& pop) {
+    const double scale = 1.0 / ((cfg_.ssets - 1.0) * cfg_.game.rounds);
+    if (k >= begin_ && k < end_) {
+      double sum = 0.0;
+      for (pop::SSetId j = 0; j < cfg_.ssets; ++j) {
+        if (j == k) continue;
+        const double v = value(pop, k, j);
+        cell(k, j) = v;
+        sum += v;
+      }
+      fitness_[k - begin_] = sum * scale;
+    }
+    for (pop::SSetId i = begin_; i < end_; ++i) {
+      if (i == k) continue;
+      const double fresh = value(pop, i, k);
+      fitness_[i - begin_] += (fresh - cell(i, k)) * scale;
+      cell(i, k) = fresh;
+    }
+    const std::uint64_t live = pop.class_count();
+    if (keys_.size() <= 256 + 8 * live * live) return;
+    std::unordered_set<std::uint64_t> alive;
+    for (const auto& c : pop.classes()) {
+      if (c.members > 0) alive.insert(c.hash);
+    }
+    std::erase_if(keys_, [&](const auto& kv) {
+      return alive.count(kv.second.first) == 0 ||
+             alive.count(kv.second.second) == 0;
+    });
+  }
+
+  std::vector<double> fitness_;
+  std::vector<double> matrix_;
+  std::uint64_t pairs_ = 0;
+  std::uint64_t games_ = 0;
+  std::uint64_t inserts_ = 0;
+
+ private:
+  double& cell(pop::SSetId i, pop::SSetId j) {
+    return matrix_[static_cast<std::size_t>(i - begin_) * cfg_.ssets + j];
+  }
+  double value(const pop::Population& pop, pop::SSetId i, pop::SSetId j) {
+    ++pairs_;
+    const auto& ci = pop.classes()[pop.strategy_class(i)];
+    const auto& cj = pop.classes()[pop.strategy_class(j)];
+    if (keys_.emplace(game::Strategy::pair_key(ci.hash, cj.hash),
+                      std::make_pair(ci.hash, cj.hash))
+            .second) {
+      ++games_;
+      ++inserts_;
+    }
+    return eval_.pair_payoff(ci.strategy, cj.strategy);
+  }
+
+  SimConfig cfg_;
+  PairEvaluator eval_;
+  pop::SSetId begin_;
+  pop::SSetId end_;
+  // Cached key → (row, column) content hashes.
+  std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
+      keys_;
+};
+
+game::Strategy random_mem1(util::Xoshiro256& rng, bool mixed) {
+  if (mixed) return game::MixedStrategy::random(1, rng);
+  return game::PureStrategy::random(1, rng);
+}
+
+/// Drive dedup blocks over `parts` equal row partitions (one block = the
+/// serial engine, 2 or 4 = rank blocks) through a seeded mix of mutations
+/// and adoptions, and demand that each block's batched column update leave
+/// fitness, the payoff matrix, pairs_evaluated, games_played and
+/// fitness.cache_inserts bitwise where the per-pair model puts them.
+/// `mixed_share` of the strategies are mixed, the rest pure.
+void run_column_equivalence(int parts, unsigned sset_threads, double noise,
+                            double mixed_share, std::uint64_t seed) {
+  SimConfig cfg = analytic_config(24, 1);
+  cfg.dedup = true;
+  cfg.sset_threads = sset_threads;
+  cfg.game.noise = noise;
+  util::Xoshiro256 rng(seed);
+  std::vector<game::Strategy> pool;  // repeated strategies give real classes
+  for (int k = 0; k < 6; ++k) {
+    pool.push_back(random_mem1(rng, util::uniform01(rng) < mixed_share));
+  }
+  std::vector<game::Strategy> ss;
+  for (pop::SSetId i = 0; i < cfg.ssets; ++i) {
+    ss.push_back(pool[util::uniform_below(rng, pool.size())]);
+  }
+  pop::Population pop(std::move(ss));
+
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> regs;
+  std::vector<std::unique_ptr<BlockFitness>> blocks;
+  std::vector<PerPairBlock> models;
+  const pop::SSetId rows = cfg.ssets / parts;
+  for (int p = 0; p < parts; ++p) {
+    regs.push_back(std::make_unique<obs::MetricsRegistry>());
+    blocks.push_back(std::make_unique<BlockFitness>(
+        cfg, p * rows, (p + 1) * rows, nullptr, regs.back().get()));
+    blocks.back()->initialize(pop);
+    models.emplace_back(
+        cfg, *blocks.back(),
+        regs.back()->snapshot().counter_value("fitness.cache_inserts"));
+  }
+
+  for (std::uint64_t gen = 1; gen <= 60; ++gen) {
+    const auto k =
+        static_cast<pop::SSetId>(util::uniform_below(rng, cfg.ssets));
+    if (util::uniform_below(rng, 2) == 0) {
+      const auto teacher =
+          static_cast<pop::SSetId>(util::uniform_below(rng, cfg.ssets));
+      pop.set_strategy(k, pop.strategy(teacher));  // adoption
+    } else {
+      pop.set_strategy(k, random_mem1(rng, util::uniform01(rng) < mixed_share));
+    }
+    for (int p = 0; p < parts; ++p) {
+      BlockFitness& b = *blocks[p];
+      PerPairBlock& m = models[p];
+      b.strategy_changed(k, pop, gen);
+      m.strategy_changed(k, pop);
+      ASSERT_EQ(b.block().size(), m.fitness_.size());
+      for (std::size_t r = 0; r < m.fitness_.size(); ++r) {
+        ASSERT_EQ(b.block()[r], m.fitness_[r])
+            << "gen " << gen << " block " << p << " row " << r;
+      }
+      for (std::size_t c = 0; c < m.matrix_.size(); ++c) {
+        ASSERT_EQ(b.payoff_matrix()[c], m.matrix_[c])
+            << "gen " << gen << " block " << p << " cell " << c;
+      }
+      ASSERT_EQ(b.pairs_evaluated(), m.pairs_);
+      ASSERT_EQ(b.games_played(), m.games_) << "gen " << gen;
+      ASSERT_EQ(
+          regs[p]->snapshot().counter_value("fitness.cache_inserts"),
+          m.inserts_)
+          << "gen " << gen;
+    }
+  }
+}
+
+TEST(BatchColumn, MixedNoiseFreeMatchesPerPairSerial) {
+  run_column_equivalence(1, 0, 0.0, 1.0, 101);
+}
+TEST(BatchColumn, MixedNoisyMatchesPerPairSerial) {
+  run_column_equivalence(1, 0, 0.05, 1.0, 102);
+}
+TEST(BatchColumn, PureAndMixedMatchesPerPairWithSsetThreads) {
+  run_column_equivalence(1, 2, 0.0, 0.5, 103);
+}
+TEST(BatchColumn, PureNoisyMatchesPerPairOnTwoRankBlocks) {
+  run_column_equivalence(2, 0, 0.05, 0.0, 104);
+}
+TEST(BatchColumn, PureAndMixedMatchesPerPairOnFourRankBlocks) {
+  run_column_equivalence(4, 0, 0.05, 0.5, 105);
+}
+TEST(BatchColumn, PureNoiseFreeMatchesPerPairOnFourRankBlocks) {
+  // Every pair takes the walker: the column gather must skip outright.
+  run_column_equivalence(4, 0, 0.0, 0.0, 106);
+}
+TEST(BatchColumn, ForcedScalarMatchesPerPairOnTwoRankBlocks) {
+  ForceScalarGuard guard(true);
+  run_column_equivalence(2, 2, 0.05, 0.5, 107);
 }
 
 }  // namespace

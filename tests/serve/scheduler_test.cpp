@@ -4,12 +4,17 @@
 // lost, no completed job run twice).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -315,6 +320,39 @@ TEST(Scheduler, GracefulShutdownParksUnfinishedWorkForTheNextRun) {
   sched.shutdown();
   ASSERT_EQ(sched.state(1), JobState::Completed);
   expect_matches_oracle(*sched.result(1), spec);
+}
+
+// Regression: the stop flags used to be stored and notified without
+// holding the scheduler mutex, so a worker between its flag check and its
+// wait could miss the wake-up and hang join() forever (this loop hung in
+// some runs before the fix). Many short start/submit/stop cycles must all
+// finish well inside the deadline.
+TEST(Scheduler, StopNeverLosesAWorkerWakeUp) {
+  // A hung join() cannot be recovered in-process: the watchdog aborts the
+  // test binary instead of letting it hang.
+  std::promise<void> finished;
+  std::thread watchdog([done = finished.get_future()] {
+    if (done.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "scheduler stop hung: a worker missed its "
+                           "wake-up\n");
+      std::abort();
+    }
+  });
+  for (int c = 0; c < 3000; ++c) {
+    SchedulerOptions opts;
+    opts.workers = 8;
+    Scheduler sched(opts);
+    sched.start();
+    if (c % 4 == 0) (void)sched.submit(spec_json("alice", c, 1));
+    if (c % 3 == 0) {
+      sched.hard_stop();
+    } else {
+      sched.shutdown();
+    }
+  }
+  finished.set_value();
+  watchdog.join();
 }
 
 }  // namespace

@@ -9,7 +9,7 @@ namespace {
 
 TEST(KernelChecks, FullSuitePasses) {
   const KernelReport report = run_kernel_checks(20120427);
-  ASSERT_EQ(report.checks.size(), 4u);
+  ASSERT_EQ(report.checks.size(), 5u);  // mem1 x2, pure x2, report
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << c.name << ": " << c.detail;
     // The cross-kernel check runs zero cases when the AVX2 kernel is

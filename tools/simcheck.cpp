@@ -7,7 +7,9 @@
 //   --stats-preset G   single full-budget mean-field trajectory check of
 //                      registry preset G (nightly per-preset sweep)
 //   --kernels          cross-validate the batch fitness kernels (AVX2 vs
-//                      scalar at 1e-12 relative, walkers bitwise)
+//                      scalar at 1e-12 relative, walkers bitwise) and the
+//                      batched cooperation report (vs the per-pair loop
+//                      at 1e-12 relative)
 //   (default)          fuzz: sample --seeds configs from --start, run every
 //                      applicable engine pair, shrink failures (--shrink)
 //                      and write runnable repro JSONs under --out
