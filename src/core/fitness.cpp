@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_set>
+#include <cmath>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -147,6 +148,8 @@ BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
     ct_restores_ = &metrics->counter("fitness.state_restores");
   }
   fitness_.assign(end_ - begin_, 0.0);
+  scale_.reserve(end_ - begin_);
+  for (pop::SSetId i = begin_; i < end_; ++i) scale_.push_back(row_scale(i));
   if (pairwise_cached()) {
     matrix_.assign(static_cast<std::size_t>(end_ - begin_) * config_.ssets,
                    0.0);
@@ -241,28 +244,26 @@ void BlockFitness::recompute_row_pgg(pop::SSetId i, const pop::Population& pop,
       sum += r * cost * pool / k - own * cost;
     }
   }
-  fitness_[i - begin_] = sum * row_scale(i);
+  fitness_[i - begin_] = sum * scale_[i - begin_];
 }
 
 double BlockFitness::pair_value(const pop::Population& pop, pop::SSetId i,
                                 pop::SSetId j, std::uint64_t gen_key,
                                 std::uint64_t& games, bool allow_insert) {
   if (dedup_) {
+    const pop::ClassId ci = pop.strategy_class(i);
+    const pop::ClassId cj = pop.strategy_class(j);
+    // Only strategy-pure pairs are ever stored, so a known cell needs no
+    // route check.
+    const double hit = cached_pay(ci, cj);
+    if (!std::isnan(hit)) return hit;
     const auto& classes = pop.classes();
-    const pop::StrategyClass& ci = classes[pop.strategy_class(i)];
-    const pop::StrategyClass& cj = classes[pop.strategy_class(j)];
-    if (eval_.strategy_pure(ci.strategy, cj.strategy)) {
-      const std::uint64_t key = game::Strategy::pair_key(ci.hash, cj.hash);
-      const auto it = class_pay_.find(key);
-      if (it != class_pay_.end()) return it->second.payoff;
-      const double v = eval_.pair_payoff(ci.strategy, cj.strategy);
+    const game::Strategy& si = classes[ci].strategy;
+    const game::Strategy& sj = classes[cj].strategy;
+    if (eval_.strategy_pure(si, sj)) {
+      const double v = eval_.pair_payoff(si, sj);
       ++games;
-      // Pool workers run behind a prefill and must not mutate the cache;
-      // recomputing a rare miss is correct either way (pure function).
-      if (allow_insert) {
-        class_pay_.emplace(key, ClassPay{v, ci.hash, cj.hash});
-        if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
-      }
+      if (allow_insert) insert_pay(pop, ci, cj, v);
       return v;
     }
   }
@@ -270,31 +271,94 @@ double BlockFitness::pair_value(const pop::Population& pop, pop::SSetId i,
   return eval_.payoff(pop, i, j, gen_key);
 }
 
-void BlockFitness::prefill_pairs(const pop::Population& pop,
-                                 std::span<const ClassPair> pairs) {
+void BlockFitness::sync_slots(const pop::Population& pop) {
   const auto& classes = pop.classes();
-  std::vector<PairRequest> reqs;
-  std::vector<ClassPay> fresh;
-  for (const auto& [cr, cc] : pairs) {
-    const pop::StrategyClass& row = classes[cr];
-    const pop::StrategyClass& col = classes[cc];
-    if (!eval_.strategy_pure(row.strategy, col.strategy)) continue;
-    if (class_pay_.count(game::Strategy::pair_key(row.hash, col.hash)) != 0) {
-      continue;
+  slot_content_.resize(classes.size(), kNoContent);
+  bool revive = false;
+  for (pop::ClassId c = 0; c < classes.size(); ++c) {
+    if (classes[c].members == 0) continue;
+    std::uint32_t& id = slot_content_[c];
+    if (id != kNoContent && content_hash_[id] == classes[c].hash) continue;
+    const auto it = content_of_.find(classes[c].hash);
+    if (it != content_of_.end()) {
+      id = it->second;
+    } else if (retired_hashes_.count(classes[c].hash) != 0) {
+      id = intern_hash(classes[c].hash);  // a retired strategy came back
+      revive = true;
+    } else {
+      id = kNoContent;
     }
-    reqs.push_back({&row.strategy, &col.strategy, 0});
-    fresh.push_back({0.0, row.hash, col.hash});
   }
-  if (reqs.empty()) return;
-  std::vector<game::batch::BatchTotals> vals(reqs.size());
-  eval_.evaluate(reqs, vals);
-  for (std::size_t m = 0; m < fresh.size(); ++m) {
-    fresh[m].payoff = vals[m].payoff_a;
-    class_pay_.emplace(game::Strategy::pair_key(fresh[m].a, fresh[m].b),
-                       fresh[m]);
-    ++games_;
-    if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
+  if (!revive) return;
+  // Move back every retired cell whose two contents both hold an ID again.
+  std::erase_if(retired_, [&](const DedupEntry& e) {
+    const auto a = content_of_.find(e.a);
+    const auto b = content_of_.find(e.b);
+    if (a == content_of_.end() || b == content_of_.end()) return false;
+    cell(a->second, b->second) = e.payoff;
+    return true;
+  });
+}
+
+std::uint32_t BlockFitness::intern_hash(std::uint64_t h) {
+  const auto [it, fresh] = content_of_.try_emplace(
+      h, static_cast<std::uint32_t>(content_hash_.size()));
+  if (fresh) {
+    content_hash_.push_back(h);
+    pay_.emplace_back();
   }
+  return it->second;
+}
+
+std::uint32_t BlockFitness::intern_class(const pop::Population& pop,
+                                         pop::ClassId c) {
+  std::uint32_t& id = slot_content_[c];
+  if (id == kNoContent) id = intern_hash(pop.classes()[c].hash);
+  return id;
+}
+
+void BlockFitness::insert_pay(const pop::Population& pop, pop::ClassId a,
+                              pop::ClassId b, double v) {
+  const std::uint32_t ra = intern_class(pop, a);
+  const std::uint32_t rb = intern_class(pop, b);
+  double& c = cell(ra, rb);
+  if (!std::isnan(c)) return;
+  c = v;
+  ++known_;
+  if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
+}
+
+void BlockFitness::queue_pair(const pop::Population& pop, pop::ClassId cr,
+                              pop::ClassId cc) {
+  if (!std::isnan(cached_pay(cr, cc))) return;
+  const auto& classes = pop.classes();
+  const game::Strategy& row = classes[cr].strategy;
+  const game::Strategy& col = classes[cc].strategy;
+  if (!eval_.strategy_pure(row, col)) return;
+  const std::uint32_t ra = intern_class(pop, cr);
+  const std::uint32_t rb = intern_class(pop, cc);
+  double& c = cell(ra, rb);
+  if (!std::isnan(c)) return;  // already queued (kPending)
+  c = kPending;
+  prefill_reqs_.push_back({&row, &col, 0});
+  prefill_cells_.emplace_back(ra, rb);
+}
+
+void BlockFitness::flush_prefill() {
+  if (prefill_reqs_.empty()) return;
+  prefill_vals_.resize(prefill_reqs_.size());
+  eval_.evaluate(prefill_reqs_, prefill_vals_);
+  for (std::size_t m = 0; m < prefill_cells_.size(); ++m) {
+    const auto [ra, rb] = prefill_cells_[m];
+    pay_[ra][rb] = prefill_vals_[m].payoff_a;
+  }
+  known_ += prefill_cells_.size();
+  games_ += prefill_cells_.size();
+  if (ct_cache_inserts_ != nullptr) {
+    ct_cache_inserts_->inc(prefill_cells_.size());
+  }
+  prefill_reqs_.clear();
+  prefill_cells_.clear();
 }
 
 void BlockFitness::prefill_class(const pop::Population& pop, pop::ClassId cr) {
@@ -303,23 +367,21 @@ void BlockFitness::prefill_class(const pop::Population& pop, pop::ClassId cr) {
   // count: every live column class — except the self pair of a singleton
   // class, which no (i, j != i) ever realizes.
   const auto& classes = pop.classes();
-  std::vector<ClassPair> pairs;
   for (pop::ClassId cc = 0; cc < classes.size(); ++cc) {
     if (classes[cc].members == 0) continue;
     if (cc == cr && classes[cc].members < 2) continue;
-    pairs.push_back({cr, cc});
+    queue_pair(pop, cr, cc);
   }
-  prefill_pairs(pop, pairs);
+  flush_prefill();
 }
 
 void BlockFitness::prefill_neighbors(const pop::Population& pop,
                                      pop::SSetId i) {
-  // One pair at a time: two neighbours may share a class.
   const pop::ClassId ci = pop.strategy_class(i);
   for (const pop::SSetId j : graph_->neighbors(i)) {
-    const ClassPair pair{ci, pop.strategy_class(j)};
-    prefill_pairs(pop, {&pair, 1});
+    queue_pair(pop, ci, pop.strategy_class(j));
   }
+  flush_prefill();
 }
 
 void BlockFitness::prefill_column(pop::SSetId k, const pop::Population& pop) {
@@ -327,23 +389,15 @@ void BlockFitness::prefill_column(pop::SSetId k, const pop::Population& pop) {
   // which the delta loop's lazy misses play cheaply one at a time.
   if (!dedup_) return;
   if (config_.game.noise == 0.0 && pop.mixed_class_count() == 0) return;
-  // Each (c_i, c_k) key once, in first-row order; the delta loop then
-  // walks the same rows and only hits the cache.
+  // Each (c_i, c_k) pair once, in first-row order; the delta loop then
+  // walks the same rows and only hits the table.
   const pop::ClassId ck = pop.strategy_class(k);
-  if (class_seen_.size() < pop.classes().size()) {
-    class_seen_.resize(pop.classes().size());
-  }
-  std::vector<ClassPair> pairs;
   for (pop::SSetId i = begin_; i < end_; ++i) {
     if (i == k) continue;
     if (structured() && !graph_->are_neighbors(i, k)) continue;
-    const pop::ClassId ci = pop.strategy_class(i);
-    if (class_seen_[ci] != 0) continue;
-    class_seen_[ci] = 1;
-    pairs.push_back({ci, ck});
+    queue_pair(pop, pop.strategy_class(i), ck);
   }
-  for (const auto& [ci, cc] : pairs) class_seen_[ci] = 0;
-  prefill_pairs(pop, pairs);
+  flush_prefill();
 }
 
 void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
@@ -355,18 +409,6 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
   }
   const std::size_t row = i - begin_;
   const bool use_agent_pool = agent_pool_ != nullptr && !nested;
-  if (dedup_ && !nested) {
-    // Serial control path: make every strategy-pure pair of this row a
-    // guaranteed hit first — prefill_class plays the misses through one
-    // evaluate() call, and the agent tier (when active) then reads the
-    // cache from several threads without ever inserting. Structured rows
-    // only ever touch their neighbours' classes.
-    if (structured()) {
-      prefill_neighbors(pop, i);
-    } else {
-      prefill_class(pop, pop.strategy_class(i));
-    }
-  }
   double sum = 0.0;
   if (structured()) {
     // Structured population: only neighbours play.
@@ -401,7 +443,7 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
         sum += v;
       }
     }
-    fitness_[row] = sum * row_scale(i);
+    fitness_[row] = sum * scale_[row];
     return;
   }
   if (use_agent_pool) {
@@ -459,7 +501,7 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
       sum += v;
     }
   }
-  fitness_[row] = sum * row_scale(i);
+  fitness_[row] = sum * scale_[row];
 }
 
 void BlockFitness::evaluate_rows(const pop::Population& pop,
@@ -467,11 +509,12 @@ void BlockFitness::evaluate_rows(const pop::Population& pop,
   const std::uint64_t rows = end_ - begin_;
   if (dedup_) {
     // Cover exactly the strategy-pure pairs the rows below will touch,
-    // serially and up front. Pool workers then only ever read the cache
+    // serially and up front. Pool workers then only ever read the table
     // (the hit set is guaranteed and games_played stays
     // thread-count-invariant), and the serial path inserts the same key
     // set it would have inserted lazily — but through one evaluate() call
     // per row class instead of one kernel call per miss.
+    sync_slots(pop);
     if (structured()) {
       for (pop::SSetId i = begin_; i < end_; ++i) prefill_neighbors(pop, i);
     } else {
@@ -537,23 +580,33 @@ void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
     games_ += counts.games;
     return;
   }
+  if (dedup_) sync_slots(pop);
   if (k >= begin_ && k < end_) {
+    if (dedup_) {
+      // Make every strategy-pure pair of row k a hit first: the agent tier
+      // (when active) then reads the table without ever inserting.
+      if (structured()) {
+        prefill_neighbors(pop, k);
+      } else {
+        prefill_class(pop, pop.strategy_class(k));
+      }
+    }
     recompute_row(k, pop, generation, counts, false);
   }
   prefill_column(k, pop);
   for (pop::SSetId i = begin_; i < end_; ++i) {
     if (i == k) continue;
     if (structured() && !graph_->are_neighbors(i, k)) continue;
-    const std::size_t idx =
-        static_cast<std::size_t>(i - begin_) * config_.ssets + k;
+    const std::size_t row = i - begin_;
+    const std::size_t idx = row * config_.ssets + k;
     // Incremental class-delta update: the fresh value comes from the
-    // class-pair cache when the pair is strategy-pure (one game per new
+    // class-pair table when the pair is strategy-pure (one game per new
     // class pair; prefill_column has already played the Mem1Markov ones),
     // and matrix_ still holds the pre-change value, so the fitness delta
     // needs no old-class bookkeeping.
     const double fresh = pair_value(pop, i, k, generation, counts.games, true);
     ++counts.pairs;
-    fitness_[i - begin_] += (fresh - matrix_[idx]) * row_scale(i);
+    fitness_[row] += (fresh - matrix_[idx]) * scale_[row];
     matrix_[idx] = fresh;
   }
   pairs_ += counts.pairs;
@@ -564,20 +617,66 @@ void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
 void BlockFitness::maybe_prune_cache(const pop::Population& pop) {
   if (!dedup_) return;
   const std::uint64_t live = pop.class_count();
-  if (class_pay_.size() <= 256 + 8 * live * live) return;
-  std::unordered_set<std::uint64_t> live_hashes;
-  live_hashes.reserve(live);
-  for (const pop::StrategyClass& c : pop.classes()) {
-    if (c.members > 0) live_hashes.insert(c.hash);
+  if (known_ > 256 + 8 * live * live) {
+    compact_table(pop, true);
+  } else if (content_hash_.size() > 2 * live + 64 &&
+             table_cells_ > 4 * (known_ - retired_.size())) {
+    compact_table(pop, false);
   }
-  for (auto it = class_pay_.begin(); it != class_pay_.end();) {
-    if (live_hashes.count(it->second.a) == 0 ||
-        live_hashes.count(it->second.b) == 0) {
-      it = class_pay_.erase(it);
-      if (ct_cache_prunes_ != nullptr) ct_cache_prunes_->inc();
-    } else {
-      ++it;
+}
+
+void BlockFitness::compact_table(const pop::Population& pop, bool prune) {
+  // Live contents keep an ID, renumbered in class-slot order.
+  const std::size_t contents = content_hash_.size();
+  std::vector<std::uint32_t> renumber(contents, kNoContent);
+  std::vector<std::uint64_t> kept_hash;
+  for (const pop::StrategyClass& c : pop.classes()) {
+    if (c.members == 0) continue;
+    const auto it = content_of_.find(c.hash);
+    if (it == content_of_.end() || renumber[it->second] != kNoContent) {
+      continue;
     }
+    renumber[it->second] = static_cast<std::uint32_t>(kept_hash.size());
+    kept_hash.push_back(c.hash);
+  }
+  const std::vector<std::vector<double>> old =
+      std::exchange(pay_, std::vector<std::vector<double>>(kept_hash.size()));
+  table_cells_ = 0;
+  std::uint64_t dropped = 0;
+  for (std::size_t a = 0; a < contents; ++a) {
+    for (std::size_t b = 0; b < old[a].size(); ++b) {
+      const double v = old[a][b];
+      if (std::isnan(v)) continue;
+      if (renumber[a] != kNoContent && renumber[b] != kNoContent) {
+        cell(renumber[a], renumber[b]) = v;
+      } else if (prune) {
+        ++dropped;
+      } else {
+        // Both contents are listed, so whichever of them returns later
+        // finds the cell (sync_slots).
+        retired_.push_back({content_hash_[a], content_hash_[b], v});
+        retired_hashes_.insert(content_hash_[a]);
+        retired_hashes_.insert(content_hash_[b]);
+      }
+    }
+  }
+  if (prune) {
+    // Every retired cell has a dead content: sync_slots gives each live
+    // content listed in retired_hashes_ an ID and moves a cell back once
+    // both of its contents hold one. So the prune drops them all.
+    dropped += retired_.size();
+    retired_.clear();
+    retired_hashes_.clear();
+    known_ -= dropped;
+    if (ct_cache_prunes_ != nullptr) ct_cache_prunes_->inc(dropped);
+  }
+  content_hash_ = std::move(kept_hash);
+  content_of_.clear();
+  for (std::uint32_t id = 0; id < content_hash_.size(); ++id) {
+    content_of_.emplace(content_hash_[id], id);
+  }
+  for (std::uint32_t& id : slot_content_) {
+    if (id != kNoContent) id = renumber[id];
   }
 }
 
@@ -595,22 +694,39 @@ void BlockFitness::restore_state(std::vector<double> fitness,
   matrix_ = std::move(matrix);
   if (ct_restores_ != nullptr) ct_restores_->inc();
   if (dedup_) {
-    class_pay_.clear();
-    class_pay_.reserve(cache.size());
+    content_of_.clear();
+    content_hash_.clear();
+    pay_.clear();
+    retired_.clear();
+    retired_hashes_.clear();
+    known_ = 0;
+    table_cells_ = 0;
     for (const DedupEntry& e : cache) {
-      class_pay_.emplace(game::Strategy::pair_key(e.a, e.b),
-                         ClassPay{e.payoff, e.a, e.b});
+      // NaN and -inf are the table's unknown and queued markers.
+      EGT_REQUIRE_MSG(std::isfinite(e.payoff),
+                      "restored dedup cache holds a non-finite payoff");
+      double& c = cell(intern_hash(e.a), intern_hash(e.b));
+      if (std::isnan(c)) ++known_;
+      c = e.payoff;
     }
+    // Slots are re-resolved by content on the next sync_slots.
+    slot_content_.assign(slot_content_.size(), kNoContent);
   }
 }
 
 std::vector<BlockFitness::DedupEntry> BlockFitness::dedup_cache() const {
   std::vector<DedupEntry> out;
-  out.reserve(class_pay_.size());
-  for (const auto& [key, entry] : class_pay_) {
-    out.push_back(DedupEntry{entry.a, entry.b, entry.payoff});
+  out.reserve(known_);
+  for (std::size_t a = 0; a < pay_.size(); ++a) {
+    for (std::size_t b = 0; b < pay_[a].size(); ++b) {
+      const double v = pay_[a][b];
+      if (!std::isnan(v)) {
+        out.push_back(DedupEntry{content_hash_[a], content_hash_[b], v});
+      }
+    }
   }
-  // Deterministic blob bytes regardless of hash-map iteration order.
+  out.insert(out.end(), retired_.begin(), retired_.end());
+  // Deterministic blob bytes regardless of content numbering.
   std::sort(out.begin(), out.end(), [](const DedupEntry& x, const DedupEntry& y) {
     return x.a != y.a ? x.a < y.a : x.b < y.b;
   });

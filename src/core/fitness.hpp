@@ -25,9 +25,11 @@
 //    via the batch Markov kernel) — the engine plays one game per unique
 //    (class_i, class_j) from the population's interned class table and
 //    reuses the value for every SSet pair in those classes: O(u^2) games
-//    for u unique strategies instead of O(ssets^2). The missing class
-//    pairs of a row (initialize) or of a changed column (strategy_changed)
-//    are played as one evaluate() call each. Row sums still walk every j
+//    for u unique strategies instead of O(ssets^2). The values live in a
+//    dense table indexed by strategy *content* ID, so a hit is two array
+//    reads, never a hash probe. The missing class pairs of a row
+//    (initialize) or of a changed column (strategy_changed) are played as
+//    one evaluate() call each. Row sums still walk every j
 //    in fixed order over the cached values, so fitness, matrix and
 //    trajectories are bit-identical to brute force; only games_played
 //    drops. Pairs whose payoff is (i, j)-keyed (Sampled/SampledFrozen
@@ -41,9 +43,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -200,10 +204,16 @@ class BlockFitness {
   void restore_state(std::vector<double> fitness, std::vector<double> matrix,
                      std::vector<DedupEntry> cache = {});
 
-  /// The dedup class-pair cache in a deterministic (sorted) order — the
-  /// part of a block checkpoint that travels alongside the matrix. Empty
-  /// when dedup is off.
+  /// Every cached cell of the dedup class-pair table (retired ones
+  /// included) as content-hash entries sorted by (a, b) — the part of a
+  /// block checkpoint that travels alongside the matrix. Empty when dedup
+  /// is off.
   std::vector<DedupEntry> dedup_cache() const;
+
+  /// Cells (8 B each) the dense class-pair table spans, known or not.
+  /// After each strategy change at most max((2·live + 64)², 4 × cached
+  /// cells) — see maybe_prune_cache. Zero when dedup is off.
+  std::uint64_t table_cells() const noexcept { return table_cells_; }
 
   /// True when this block deduplicates strategy-pure pairs.
   bool dedup_active() const noexcept { return dedup_; }
@@ -236,6 +246,8 @@ class BlockFitness {
   bool structured() const noexcept {
     return graph_ != nullptr && !graph_->is_complete();
   }
+  /// Fitness normalisation of row i (1 / (opponents · rounds) for the
+  /// per-round average); computed once per owned row into scale_.
   double row_scale(pop::SSetId i) const noexcept;
 
   /// Public goods group play (GameKind::PublicGoods, DESIGN.md §10).
@@ -259,23 +271,66 @@ class BlockFitness {
                          std::uint64_t gen_key, Counts& counts);
 
   /// Value of ordered pair (i, j), bit-identical to eval_.payoff. In
-  /// dedup mode, strategy-pure pairs are answered from the class-pair
-  /// cache (a miss plays the one game and, when `allow_insert`, caches
-  /// it — insertion is forbidden from pool workers, which run behind a
-  /// prefill instead). `games` counts actual evaluations.
+  /// dedup mode a strategy-pure pair is answered from the class-pair
+  /// table: a known cell is returned without touching the strategies; a
+  /// miss plays the one game and, when `allow_insert`, stores it — pool
+  /// workers pass false and only read the table, since every pair they
+  /// touch was prefilled on the control path. `games` counts actual
+  /// evaluations.
   double pair_value(const pop::Population& pop, pop::SSetId i, pop::SSetId j,
                     std::uint64_t gen_key, std::uint64_t& games,
                     bool allow_insert);
 
-  /// A (row class, column class) pair of the dedup cache.
-  using ClassPair = std::pair<pop::ClassId, pop::ClassId>;
+  /// Cached payoff of class pair (a, b) — a quiet NaN when the table does
+  /// not hold it. Read-only, so safe from pool workers.
+  double cached_pay(pop::ClassId a, pop::ClassId b) const noexcept {
+    const std::uint32_t ra = slot_content_[a];
+    const std::uint32_t rb = slot_content_[b];
+    if (ra == kNoContent || rb == kNoContent) return kUnknown;
+    const std::vector<double>& row = pay_[ra];
+    return rb < row.size() ? row[rb] : kUnknown;
+  }
 
-  /// Play every strategy-pure pair of `pairs` the cache lacks through one
-  /// evaluate() call and cache it; each counts as one game, exactly as the
-  /// lazy miss it replaces (serial; run before handing rows to a pool).
-  /// `pairs` must not repeat a pair.
-  void prefill_pairs(const pop::Population& pop,
-                     std::span<const ClassPair> pairs);
+  /// Writable cell (a, b) of the table, growing row a to reach column b.
+  /// Control path only.
+  double& cell(std::uint32_t a, std::uint32_t b) {
+    std::vector<double>& row = pay_[a];
+    if (b >= row.size()) {
+      table_cells_ += b + 1 - row.size();
+      row.resize(b + 1, kUnknown);
+    }
+    return row[b];
+  }
+
+  /// Refresh slot_content_ from the population's class table: a live slot
+  /// whose content changed (or that had no content ID) is looked up again.
+  /// Control path only; run at the top of evaluate_rows and
+  /// strategy_changed, so the table never has to follow slot recycling.
+  void sync_slots(const pop::Population& pop);
+
+  /// Content ID of hash `h`, created (with an empty row) when new.
+  std::uint32_t intern_hash(std::uint64_t h);
+
+  /// Content ID of live class `c`, created for a content new to the
+  /// table. Control path only.
+  std::uint32_t intern_class(const pop::Population& pop, pop::ClassId c);
+
+  /// Store the payoff of a class pair a lazy miss just played (no-op if a
+  /// colliding slot stored it first); counts one cache insert.
+  void insert_pay(const pop::Population& pop, pop::ClassId a, pop::ClassId b,
+                  double v);
+
+  /// Queue class pair (cr, cc) for the next flush_prefill when it is
+  /// strategy-pure, unknown and not already queued (the queued cell holds
+  /// kPending meanwhile, so a pair two neighbours or rows share is queued
+  /// once).
+  void queue_pair(const pop::Population& pop, pop::ClassId cr,
+                  pop::ClassId cc);
+
+  /// Play every queued pair through one evaluate() call and store it.
+  /// Each counts as one game and one cache insert, exactly as the lazy
+  /// miss it replaces would.
+  void flush_prefill();
 
   /// Prefill every (cr, live class) pair a well-mixed row of class `cr`
   /// can touch (skips a singleton class's unreachable self pair).
@@ -285,12 +340,14 @@ class BlockFitness {
   void prefill_neighbors(const pop::Population& pop, pop::SSetId i);
 
   /// strategy_changed's column k in one evaluate() call: prefill each
-  /// (c_i, c_k) pair the owned rows touch (dedup mode only; skipped when
-  /// every pair takes the pure walker).
+  /// (c_i, c_k) pair the owned rows touch, in first-row order (dedup mode
+  /// only; skipped when every pair takes the pure walker).
   void prefill_column(pop::SSetId k, const pop::Population& pop);
 
-  /// recompute_row with `nested` set runs inside the SSet-row pool: it
-  /// must not touch shared scratch (agent tier) or mutate the cache.
+  /// Sum row i in fixed j order over pair_value. Under dedup the caller
+  /// prefills the row first, so pool workers only read the table.
+  /// `nested`: running inside the SSet-row pool, which must neither insert
+  /// nor touch the agent tier's shared scratch.
   void recompute_row(pop::SSetId i, const pop::Population& pop,
                      std::uint64_t gen_key, Counts& counts, bool nested);
 
@@ -298,16 +355,25 @@ class BlockFitness {
   /// SSet-row pool when configured.
   void evaluate_rows(const pop::Population& pop, std::uint64_t gen_key);
 
-  /// Drop cache entries whose strategies died once the cache outgrows the
-  /// live class-pair count (values are pure content functions, so pruning
-  /// only ever trades a replay, never correctness).
+  /// The retention rule. Once the cache holds more than 256 + 8·live²
+  /// cells, drop every cell whose row or column content is dead. Values
+  /// are pure content functions, so pruning only ever trades a replay,
+  /// never correctness. Short of that, once the table indexes more than
+  /// 2·live + 64 contents and fewer than a quarter of its cells hold a
+  /// payoff, retire the dead contents instead: their cells move, still
+  /// counted, to retired_, and the table shrinks to the live contents
+  /// (DESIGN.md §12).
   void maybe_prune_cache(const pop::Population& pop);
 
-  struct ClassPay {
-    double payoff = 0.0;
-    std::uint64_t a = 0;  // content hashes kept for pruning / export
-    std::uint64_t b = 0;
-  };
+  /// Rebuild the table over the live contents. Cells with a dead content
+  /// are dropped (and counted as prunes, with every retired cell) when
+  /// `prune`, else retired.
+  void compact_table(const pop::Population& pop, bool prune);
+
+  static constexpr std::uint32_t kNoContent = ~std::uint32_t{0};
+  static constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+  /// A queued prefill cell; never seen outside one control-path gather.
+  static constexpr double kPending = -std::numeric_limits<double>::infinity();
 
   SimConfig config_;
   PairEvaluator eval_;
@@ -319,11 +385,29 @@ class BlockFitness {
   std::vector<double> fitness_;         // per owned row (scaled sums)
   std::vector<double> matrix_;          // cached modes: rows x ssets payoffs
   std::vector<double> row_scratch_;     // agent-tier evaluation buffer
-  std::vector<std::uint8_t> class_seen_;  // prefill_column marks, by ClassId
+  std::vector<double> scale_;           // per owned row: row_scale(i)
   std::unique_ptr<par::ThreadPool> agent_pool_;  // paper's second tier
   std::unique_ptr<par::ThreadPool> sset_pool_;   // SSet-row tier
-  // Dedup class-pair cache: Strategy::pair_key(a, b) → payoff.
-  std::unordered_map<std::uint64_t, ClassPay> class_pay_;
+  // Dedup class-pair table (DESIGN.md §12). Every strategy content that
+  // holds a cached payoff has a content ID; pay_[row content] is a dense
+  // row indexed by column content, kUnknown where no payoff is cached
+  // (cells past a row's end included). Grown and pruned on the control
+  // path only.
+  std::unordered_map<std::uint64_t, std::uint32_t> content_of_;  // hash → ID
+  std::vector<std::uint64_t> content_hash_;                      // ID → hash
+  std::vector<std::vector<double>> pay_;
+  // Cells of dead contents moved out of pay_ by compact_table: kept for
+  // the prune count, the export and a strategy's return (sync_slots moves
+  // a returning content's cells back), never looked up by pair_value.
+  std::vector<DedupEntry> retired_;
+  std::unordered_set<std::uint64_t> retired_hashes_;  // contents in retired_
+  std::uint64_t known_ = 0;  // cached cells: pay_'s payoffs plus retired_
+  std::uint64_t table_cells_ = 0;  // sum of pay_'s row lengths
+  std::vector<std::uint32_t> slot_content_;  // ClassId → ID or kNoContent
+  // flush_prefill's batch: the requests and their (row, column) IDs.
+  std::vector<PairRequest> prefill_reqs_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> prefill_cells_;
+  std::vector<game::batch::BatchTotals> prefill_vals_;
   std::uint64_t pairs_ = 0;
   std::uint64_t games_ = 0;
   // Cold-path instrumentation (null when the block runs unobserved). All

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -204,13 +205,15 @@ TEST(BatchFitness, PureExactPathKernelSwitchInvariant) {
 // Per-pair model of a dedup block's incremental update: every value comes
 // from PairEvaluator::pair_payoff one pair at a time, in the order the lazy
 // per-pair path visits pairs, and the class-pair cache is modelled as the
-// set of keys played so far (a key's first visit is its one game and its
-// one cache insert), pruned by BlockFitness's rule. Seeded from a real
-// block right after initialize.
+// set of content-hash keys played so far (a key's first visit is its one
+// game and its one cache insert; a dead strategy's keys stay until a
+// prune), pruned by the retention rule: once the keys outnumber
+// 256 + 8·live², every key with a dead row or column content goes. Seeded
+// from a real block right after initialize.
 class PerPairBlock {
  public:
   PerPairBlock(const SimConfig& cfg, const BlockFitness& seed,
-               std::uint64_t cache_inserts)
+               const obs::MetricsRegistry& reg)
       : cfg_(cfg),
         eval_(cfg),
         begin_(seed.row_begin()),
@@ -219,7 +222,8 @@ class PerPairBlock {
         matrix_(seed.payoff_matrix().begin(), seed.payoff_matrix().end()),
         pairs_(seed.pairs_evaluated()),
         games_(seed.games_played()),
-        inserts_(cache_inserts) {
+        inserts_(reg.snapshot().counter_value("fitness.cache_inserts")),
+        prunes_(reg.snapshot().counter_value("fitness.cache_prunes")) {
     for (const auto& e : seed.dedup_cache()) {
       keys_.emplace(game::Strategy::pair_key(e.a, e.b),
                     std::make_pair(e.a, e.b));
@@ -250,7 +254,7 @@ class PerPairBlock {
     for (const auto& c : pop.classes()) {
       if (c.members > 0) alive.insert(c.hash);
     }
-    std::erase_if(keys_, [&](const auto& kv) {
+    prunes_ += std::erase_if(keys_, [&](const auto& kv) {
       return alive.count(kv.second.first) == 0 ||
              alive.count(kv.second.second) == 0;
     });
@@ -261,6 +265,7 @@ class PerPairBlock {
   std::uint64_t pairs_ = 0;
   std::uint64_t games_ = 0;
   std::uint64_t inserts_ = 0;
+  std::uint64_t prunes_ = 0;
 
  private:
   double& cell(pop::SSetId i, pop::SSetId j) {
@@ -293,29 +298,35 @@ game::Strategy random_mem1(util::Xoshiro256& rng, bool mixed) {
   return game::PureStrategy::random(1, rng);
 }
 
+/// How a driven population changes strategy: each generation one SSet
+/// either adopts a random SSet's strategy (probability `adopt`) or mutates
+/// — to a fresh random strategy (`mixed_share` of them mixed), or, when
+/// `pool` is set, to one of a fixed pool of strategies, so that strategies
+/// die and come back.
+struct Churn {
+  double adopt = 0.5;
+  double mixed_share = 0.5;
+  std::vector<game::Strategy> pool;
+  std::uint64_t generations = 60;
+};
+
+/// What a driven run went through, for the tests to assert it happened.
+struct ChurnTrace {
+  std::uint64_t returns = 0;   ///< contents that died and came back
+  std::uint64_t recycled = 0;  ///< class slots re-used by another content
+};
+
 /// Drive dedup blocks over `parts` equal row partitions (one block = the
 /// serial engine, 2 or 4 = rank blocks) through a seeded mix of mutations
 /// and adoptions, and demand that each block's batched column update leave
-/// fitness, the payoff matrix, pairs_evaluated, games_played and
-/// fitness.cache_inserts bitwise where the per-pair model puts them.
-/// `mixed_share` of the strategies are mixed, the rest pure.
-void run_column_equivalence(int parts, unsigned sset_threads, double noise,
-                            double mixed_share, std::uint64_t seed) {
-  SimConfig cfg = analytic_config(24, 1);
-  cfg.dedup = true;
-  cfg.sset_threads = sset_threads;
-  cfg.game.noise = noise;
-  util::Xoshiro256 rng(seed);
-  std::vector<game::Strategy> pool;  // repeated strategies give real classes
-  for (int k = 0; k < 6; ++k) {
-    pool.push_back(random_mem1(rng, util::uniform01(rng) < mixed_share));
-  }
-  std::vector<game::Strategy> ss;
-  for (pop::SSetId i = 0; i < cfg.ssets; ++i) {
-    ss.push_back(pool[util::uniform_below(rng, pool.size())]);
-  }
-  pop::Population pop(std::move(ss));
-
+/// fitness, the payoff matrix, pairs_evaluated, games_played,
+/// fitness.cache_inserts and fitness.cache_prunes bitwise where the
+/// per-pair model puts them. `trace` records what the run went through.
+void run_model_equivalence(const SimConfig& cfg, int parts,
+                           const Churn& churn,
+                           std::vector<game::Strategy> initial,
+                           util::Xoshiro256& rng, ChurnTrace& trace) {
+  pop::Population pop(std::move(initial));
   std::vector<std::unique_ptr<obs::MetricsRegistry>> regs;
   std::vector<std::unique_ptr<BlockFitness>> blocks;
   std::vector<PerPairBlock> models;
@@ -325,21 +336,45 @@ void run_column_equivalence(int parts, unsigned sset_threads, double noise,
     blocks.push_back(std::make_unique<BlockFitness>(
         cfg, p * rows, (p + 1) * rows, nullptr, regs.back().get()));
     blocks.back()->initialize(pop);
-    models.emplace_back(
-        cfg, *blocks.back(),
-        regs.back()->snapshot().counter_value("fitness.cache_inserts"));
+    models.emplace_back(cfg, *blocks.back(), *regs.back());
   }
 
-  for (std::uint64_t gen = 1; gen <= 60; ++gen) {
+  std::unordered_set<std::uint64_t> ever_alive;
+  std::unordered_set<std::uint64_t> alive_before;
+  std::vector<std::uint64_t> slot_hash;
+  for (std::uint64_t gen = 1; gen <= churn.generations; ++gen) {
+    alive_before.clear();
+    for (const auto& c : pop.classes()) {
+      if (c.members > 0) alive_before.insert(c.hash);
+    }
+    ever_alive.insert(alive_before.begin(), alive_before.end());
+    slot_hash.resize(pop.classes().size());
+    for (std::size_t c = 0; c < pop.classes().size(); ++c) {
+      if (pop.classes()[c].members > 0) slot_hash[c] = pop.classes()[c].hash;
+    }
+
     const auto k =
         static_cast<pop::SSetId>(util::uniform_below(rng, cfg.ssets));
-    if (util::uniform_below(rng, 2) == 0) {
+    if (util::uniform01(rng) < churn.adopt) {
       const auto teacher =
           static_cast<pop::SSetId>(util::uniform_below(rng, cfg.ssets));
       pop.set_strategy(k, pop.strategy(teacher));  // adoption
+    } else if (!churn.pool.empty()) {
+      pop.set_strategy(k, churn.pool[util::uniform_below(rng, churn.pool.size())]);
     } else {
-      pop.set_strategy(k, random_mem1(rng, util::uniform01(rng) < mixed_share));
+      pop.set_strategy(
+          k, random_mem1(rng, util::uniform01(rng) < churn.mixed_share));
     }
+    const pop::StrategyClass& now = pop.classes()[pop.strategy_class(k)];
+    if (alive_before.count(now.hash) == 0 && ever_alive.count(now.hash) != 0) {
+      ++trace.returns;
+    }
+    const pop::ClassId slot = pop.strategy_class(k);
+    if (slot < slot_hash.size() && slot_hash[slot] != now.hash &&
+        alive_before.count(slot_hash[slot]) == 0) {
+      ++trace.recycled;
+    }
+
     for (int p = 0; p < parts; ++p) {
       BlockFitness& b = *blocks[p];
       PerPairBlock& m = models[p];
@@ -356,12 +391,74 @@ void run_column_equivalence(int parts, unsigned sset_threads, double noise,
       }
       ASSERT_EQ(b.pairs_evaluated(), m.pairs_);
       ASSERT_EQ(b.games_played(), m.games_) << "gen " << gen;
-      ASSERT_EQ(
-          regs[p]->snapshot().counter_value("fitness.cache_inserts"),
-          m.inserts_)
+      const obs::MetricsSnapshot snap = regs[p]->snapshot();
+      ASSERT_EQ(snap.counter_value("fitness.cache_inserts"), m.inserts_)
           << "gen " << gen;
+      ASSERT_EQ(snap.counter_value("fitness.cache_prunes"), m.prunes_)
+          << "gen " << gen << " block " << p;
     }
   }
+  for (const PerPairBlock& m : models) {
+    if (!churn.pool.empty()) EXPECT_GT(m.prunes_, 0u) << "prune never fired";
+  }
+}
+
+void run_column_equivalence(int parts, unsigned sset_threads, double noise,
+                            double mixed_share, std::uint64_t seed) {
+  SimConfig cfg = analytic_config(24, 1);
+  cfg.dedup = true;
+  cfg.sset_threads = sset_threads;
+  cfg.game.noise = noise;
+  util::Xoshiro256 rng(seed);
+  std::vector<game::Strategy> pool;  // repeated strategies give real classes
+  for (int k = 0; k < 6; ++k) {
+    pool.push_back(random_mem1(rng, util::uniform01(rng) < mixed_share));
+  }
+  std::vector<game::Strategy> ss;
+  for (pop::SSetId i = 0; i < cfg.ssets; ++i) {
+    ss.push_back(pool[util::uniform_below(rng, pool.size())]);
+  }
+  Churn churn;
+  churn.mixed_share = mixed_share;
+  ChurnTrace trace;
+  run_model_equivalence(cfg, parts, churn, std::move(ss), rng, trace);
+}
+
+/// Retention under heavy churn: mutations draw from a pool of memory-one
+/// strategies (all 16 pure ones plus `pool_size` - 16 mixed ones), so
+/// strategies die and return, freed class slots are recycled and the
+/// cached cells outgrow 256 + 8·live², so the prune rule fires. (The 16
+/// pure strategies alone could never fire it: their 256 cells stay within
+/// the bound.) The cache must keep a dead strategy's cells until that
+/// prune, exactly as the model does.
+void run_retention_equivalence(int parts, unsigned sset_threads, double noise,
+                               std::uint64_t seed, std::size_t pool_size = 120,
+                               double adopt = 0.6) {
+  SimConfig cfg = analytic_config(16, 1);
+  cfg.dedup = true;
+  cfg.sset_threads = sset_threads;
+  cfg.game.noise = noise;
+  util::Xoshiro256 rng(seed);
+  Churn churn;
+  churn.adopt = adopt;
+  churn.generations = 2000;
+  for (int bits = 0; bits < 16; ++bits) {
+    std::string table;
+    for (int s = 0; s < 4; ++s) table += ((bits >> s) & 1) != 0 ? '1' : '0';
+    churn.pool.emplace_back(game::PureStrategy::from_bits(table));
+  }
+  while (churn.pool.size() < pool_size) {
+    churn.pool.push_back(random_mem1(rng, true));
+  }
+  std::vector<game::Strategy> ss;
+  for (pop::SSetId i = 0; i < cfg.ssets; ++i) {
+    ss.push_back(churn.pool[util::uniform_below(rng, 4)]);
+  }
+  ChurnTrace trace;
+  run_model_equivalence(cfg, parts, churn, std::move(ss), rng, trace);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_GT(trace.returns, 0u) << "no strategy died and came back";
+  EXPECT_GT(trace.recycled, 0u) << "no class slot was recycled";
 }
 
 TEST(BatchColumn, MixedNoiseFreeMatchesPerPairSerial) {
@@ -386,6 +483,32 @@ TEST(BatchColumn, PureNoiseFreeMatchesPerPairOnFourRankBlocks) {
 TEST(BatchColumn, ForcedScalarMatchesPerPairOnTwoRankBlocks) {
   ForceScalarGuard guard(true);
   run_column_equivalence(2, 2, 0.05, 0.5, 107);
+}
+
+TEST(BatchColumn, RetentionMatchesPerPairSerial) {
+  run_retention_equivalence(1, 0, 0.0, 201);
+}
+TEST(BatchColumn, RetentionMatchesPerPairSerialWithSsetThreads) {
+  run_retention_equivalence(1, 2, 0.05, 202);
+}
+TEST(BatchColumn, RetentionMatchesPerPairOnTwoRankBlocks) {
+  run_retention_equivalence(2, 0, 0.05, 203);
+}
+TEST(BatchColumn, RetentionMatchesPerPairOnTwoRankBlocksWithSsetThreads) {
+  run_retention_equivalence(2, 2, 0.0, 204);
+}
+TEST(BatchColumn, RetentionMatchesPerPairOnFourRankBlocks) {
+  run_retention_equivalence(4, 0, 0.0, 205);
+}
+TEST(BatchColumn, RetentionMatchesPerPairOnFourRankBlocksWithSsetThreads) {
+  run_retention_equivalence(4, 2, 0.05, 206);
+}
+TEST(BatchColumn, RetireAndReviveMatchPerPairOnEightRankBlocks) {
+  // Two-row blocks and a 200-strategy pool: the table indexes far more
+  // contents than it fills, so dead contents' cells are retired out of it
+  // and moved back when their strategy returns.
+  run_retention_equivalence(8, 0, 0.0, 207, 200, 0.3);
+  run_retention_equivalence(8, 2, 0.05, 208, 200, 0.3);
 }
 
 }  // namespace

@@ -5,11 +5,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/fitness.hpp"
 #include "game/named.hpp"
+#include "obs/metrics.hpp"
 #include "pop/population.hpp"
 #include "util/rng.hpp"
 
@@ -233,6 +237,188 @@ TEST(FitnessDedup, RestoreStateRoundTripsCache) {
   source.strategy_changed(3, pop, 7);
   expect_blocks_identical(restored, source);
   EXPECT_EQ(restored.games_played(), games_before);
+}
+
+TEST(FitnessDedup, RestoreRejectsNonFinitePayoff) {
+  // A checkpoint's cache comes from outside the process; NaN and -inf are
+  // the table's own unknown and queued markers, so they must not load.
+  SimConfig cfg = analytic_config(8, 1);
+  const auto pop = random_population(cfg, false, 5);
+  BlockFitness source(cfg, 0, cfg.ssets);
+  source.initialize(pop);
+  const std::vector<double> fit(source.block().begin(), source.block().end());
+  const std::vector<double> mat(source.payoff_matrix().begin(),
+                                source.payoff_matrix().end());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    auto cache = source.dedup_cache();
+    ASSERT_FALSE(cache.empty());
+    cache.front().payoff = bad;
+    BlockFitness restored(cfg, 0, cfg.ssets);
+    EXPECT_THROW(restored.restore_state(fit, mat, cache), std::invalid_argument);
+  }
+}
+
+/// One seeded churn step: SSet k adopts a random SSet's strategy or
+/// mutates to one of `pool`, so strategies die, come back and recycle
+/// class slots. Returns k.
+pop::SSetId churn_step(pop::Population& pop,
+                       const std::vector<game::Strategy>& pool,
+                       util::Xoshiro256& rng) {
+  const auto k = static_cast<pop::SSetId>(util::uniform_below(rng, pop.size()));
+  if (util::uniform01(rng) < 0.6) {
+    pop.set_strategy(k, pop.strategy(static_cast<pop::SSetId>(
+                            util::uniform_below(rng, pop.size()))));
+  } else {
+    pop.set_strategy(k, pool[util::uniform_below(rng, pool.size())]);
+  }
+  return k;
+}
+
+/// A memory-one pool of 8 pure and 32 mixed strategies: more distinct
+/// contents than a 16-SSet population can hold, so the cache outgrows the
+/// prune bound.
+std::vector<game::Strategy> churn_pool(std::uint64_t seed) {
+  SimConfig cfg = analytic_config(8, 1);
+  std::vector<game::Strategy> pool;
+  const auto pure = random_population(cfg, false, seed);
+  for (pop::SSetId i = 0; i < 8; ++i) pool.push_back(pure.strategy(i));
+  for (int r = 0; r < 4; ++r) {
+    const auto mixed = random_population(cfg, true, seed + 1 + r);
+    for (pop::SSetId i = 0; i < 8; ++i) pool.push_back(mixed.strategy(i));
+  }
+  return pool;
+}
+
+TEST(FitnessDedup, RestoreMidRunContinuesBitIdentically) {
+  // A block restored from its own mid-run state and dedup cache must go on
+  // exactly as the uninterrupted block: same fitness, same matrix, and the
+  // same games played from the snapshot on — a cell the cache carried is a
+  // hit, and a prune after the restore drops the same cells.
+  SimConfig cfg = analytic_config(16, 1);
+  cfg.game.noise = 0.05;
+  const auto pool = churn_pool(600);
+  util::Xoshiro256 rng(601);
+  std::vector<game::Strategy> table;
+  for (pop::SSetId i = 0; i < cfg.ssets; ++i) table.push_back(pool[i % 4]);
+  pop::Population pop(std::move(table));
+
+  obs::MetricsRegistry reg_a;
+  obs::MetricsRegistry reg_b;
+  BlockFitness uninterrupted(cfg, 0, cfg.ssets, nullptr, &reg_a);
+  uninterrupted.initialize(pop);
+  std::uint64_t gen = 1;
+  for (; gen <= 150; ++gen) {
+    uninterrupted.strategy_changed(churn_step(pop, pool, rng), pop, gen);
+  }
+  const std::uint64_t games_at_snapshot = uninterrupted.games_played();
+  const std::uint64_t prunes_at_snapshot =
+      reg_a.snapshot().counter_value("fitness.cache_prunes");
+  // The restored block has run on another population first, so the
+  // restore has to replace a populated table, not fill an empty one.
+  BlockFitness restored(cfg, 0, cfg.ssets, nullptr, &reg_b);
+  auto other = random_population(cfg, true, 602);
+  restored.initialize(other);
+  for (std::uint64_t g = 1; g <= 20; ++g) {
+    restored.strategy_changed(churn_step(other, pool, rng), other, g);
+  }
+  const std::uint64_t games_before_restore = restored.games_played();
+  const std::uint64_t prunes_before_restore =
+      reg_b.snapshot().counter_value("fitness.cache_prunes");
+  restored.restore_state(
+      std::vector<double>(uninterrupted.block().begin(),
+                          uninterrupted.block().end()),
+      std::vector<double>(uninterrupted.payoff_matrix().begin(),
+                          uninterrupted.payoff_matrix().end()),
+      uninterrupted.dedup_cache());
+  for (; gen <= 600; ++gen) {
+    const pop::SSetId k = churn_step(pop, pool, rng);
+    uninterrupted.strategy_changed(k, pop, gen);
+    restored.strategy_changed(k, pop, gen);
+    expect_blocks_identical(restored, uninterrupted);
+    ASSERT_EQ(restored.games_played() - games_before_restore,
+              uninterrupted.games_played() - games_at_snapshot)
+        << "gen " << gen;
+  }
+  const std::uint64_t prunes_after =
+      reg_a.snapshot().counter_value("fitness.cache_prunes") -
+      prunes_at_snapshot;
+  EXPECT_GT(prunes_after, 0u) << "no prune after the restore";
+  EXPECT_EQ(reg_b.snapshot().counter_value("fitness.cache_prunes") -
+                prunes_before_restore,
+            prunes_after);
+  const auto a = uninterrupted.dedup_cache();
+  const auto b = restored.dedup_cache();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t e = 0; e < a.size(); ++e) {
+    EXPECT_EQ(a[e].a, b[e].a);
+    EXPECT_EQ(a[e].b, b[e].b);
+    EXPECT_EQ(a[e].payoff, b[e].payoff);
+  }
+}
+
+TEST(FitnessDedup, CacheStaysWithinPruneBoundUnderChurn) {
+  // After every strategy change the cache holds at most 256 + 8·live²
+  // entries (the retention rule), however many strategies came and went.
+  for (const double noise : {0.0, 0.05}) {
+    SimConfig cfg = analytic_config(16, 1);
+    cfg.game.noise = noise;
+    const auto pool = churn_pool(700);
+    util::Xoshiro256 rng(701);
+    std::vector<game::Strategy> table;
+    for (pop::SSetId i = 0; i < cfg.ssets; ++i) table.push_back(pool[i % 4]);
+    pop::Population pop(std::move(table));
+    obs::MetricsRegistry reg;
+    BlockFitness block(cfg, 0, cfg.ssets, nullptr, &reg);
+    block.initialize(pop);
+    for (std::uint64_t gen = 1; gen <= 600; ++gen) {
+      block.strategy_changed(churn_step(pop, pool, rng), pop, gen);
+      const std::uint64_t live = pop.class_count();
+      ASSERT_LE(block.dedup_cache().size(), 256 + 8 * live * live)
+          << "gen " << gen << " noise " << noise;
+    }
+    EXPECT_GT(reg.snapshot().counter_value("fitness.cache_prunes"), 0u)
+        << "noise " << noise;
+  }
+}
+
+TEST(FitnessDedup, TableCellsStayBoundedOnARing) {
+  // A ring population under a stream of brand-new mixed strategies: each
+  // new strategy adds only a few cells (its neighbours), but every content
+  // takes a table ID, so a dense table over all of them would span ~N²/2
+  // cells long before the cell count triggers a prune. Dead contents'
+  // cells are retired instead, which keeps the table within
+  // max((2·live + 64)², 4 × cached cells), while the cache (retired cells
+  // included) still follows the prune rule.
+  SimConfig cfg = analytic_config(64, 1);
+  cfg.interaction.kind = InteractionSpec::Kind::Ring;
+  cfg.interaction.ring_k = 1;
+  auto graph = std::make_shared<const pop::InteractionGraph>(
+      make_interaction_graph(cfg));
+  auto pop = random_population(cfg, true, 800);
+  util::Xoshiro256 rng(801);
+  BlockFitness block(cfg, 0, cfg.ssets, graph);
+  block.initialize(pop);
+  std::uint64_t fresh = 10000;
+  for (std::uint64_t gen = 1; gen <= 2000; ++gen) {
+    const auto k =
+        static_cast<pop::SSetId>(util::uniform_below(rng, pop.size()));
+    if (util::uniform01(rng) < 0.3) {
+      pop.set_strategy(k, pop.strategy(static_cast<pop::SSetId>(
+                              util::uniform_below(rng, pop.size()))));
+    } else {
+      pop.set_strategy(k, random_population(cfg, true, ++fresh).strategy(0));
+    }
+    block.strategy_changed(k, pop, gen);
+    const std::uint64_t live = pop.class_count();
+    const std::uint64_t prune_bound = 256 + 8 * live * live;
+    ASSERT_LE(block.table_cells(),
+              std::max((2 * live + 64) * (2 * live + 64), 4 * prune_bound))
+        << "gen " << gen;
+    if (gen % 100 == 0) {
+      ASSERT_LE(block.dedup_cache().size(), prune_bound) << "gen " << gen;
+    }
+  }
 }
 
 TEST(FitnessDedup, SerialEngineTrajectoryUnchangedByDedup) {
