@@ -9,7 +9,7 @@
 //       --space mixed --noise 0.02 --series run.csv --checkpoint run.ckpt
 //   ./run_simulation ... --resume run.ckpt       # continue after a kill
 //   ./run_simulation ... --checkpoint-dir ckpts --checkpoint-every 1000
-//   ./run_simulation ... --restore ckpts         # newest intact checkpoint
+//   ./run_simulation ... --resume ckpts          # newest intact checkpoint
 //   ./run_simulation ... --metrics-out m.json    # egt.run_manifest/v3
 //   ./run_simulation ... --trace-out run.trace.json  # Perfetto flight record
 //   ./run_simulation ... --metrics-stream live.ndjson  # per-gen telemetry
@@ -188,8 +188,6 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
       "resume", "",
       "checkpoint to resume from: a file, or a --checkpoint-dir directory "
       "(restores the newest intact generation, skipping corrupt files)");
-  auto restore_opt = cli.opt<std::string>(
-      "restore", "", "synonym of --resume (restore a checkpoint)");
   auto fault_plan_opt = cli.opt<std::string>(
       "fault-plan", "",
       "egt.fault_plan/v1 JSON of failures to inject; runs the "
@@ -314,13 +312,6 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
   out.checkpoint = *ckpt_opt;
   out.checkpoint_dir = *ckpt_dir;
   out.resume = *resume_opt;
-  if (!restore_opt->empty()) {
-    if (!out.resume.empty() && *restore_opt != out.resume) {
-      throw std::invalid_argument(
-          "--resume and --restore name different checkpoints; pass one");
-    }
-    out.resume = *restore_opt;
-  }
   out.fault_plan = *fault_plan_opt;
   out.ft_detect_ms = *ft_detect;
   out.ft_ping_ms = *ft_ping;
@@ -404,6 +395,20 @@ struct Headline {
   double mean_payoff = 0.0;
 };
 
+/// The config fields both manifests (legacy and v3) record.
+void write_config_fields(egt::util::JsonWriter& w,
+                         const egt::core::SimConfig& cfg) {
+  w.field("memory", cfg.memory);
+  w.field("ssets", static_cast<std::uint64_t>(cfg.ssets));
+  w.field("generations", cfg.generations);
+  w.field("rounds", static_cast<std::uint64_t>(cfg.game.rounds));
+  w.field("noise", cfg.game.noise);
+  w.field("pc_rate", cfg.pc_rate);
+  w.field("mutation_rate", cfg.mutation_rate);
+  w.field("beta", cfg.beta);
+  w.field("seed", cfg.seed);
+}
+
 void write_legacy_manifest(const std::string& path,
                            const egt::core::SimConfig& cfg,
                            const egt::pop::Population& pop,
@@ -416,15 +421,7 @@ void write_legacy_manifest(const std::string& path,
   w.key("tool").value("egtsim/run_simulation");
   w.key("config").begin_object();
   w.field("summary", cfg.summary());
-  w.field("memory", cfg.memory);
-  w.field("ssets", static_cast<std::uint64_t>(cfg.ssets));
-  w.field("generations", cfg.generations);
-  w.field("rounds", static_cast<std::uint64_t>(cfg.game.rounds));
-  w.field("noise", cfg.game.noise);
-  w.field("pc_rate", cfg.pc_rate);
-  w.field("mutation_rate", cfg.mutation_rate);
-  w.field("beta", cfg.beta);
-  w.field("seed", cfg.seed);
+  write_config_fields(w, cfg);
   w.field("config_fingerprint", core::config_fingerprint(cfg));
   w.end_object();
   const auto census = pop::census(pop);
@@ -452,15 +449,7 @@ egt::obs::ManifestInfo manifest_info(const egt::core::SimConfig& cfg,
   info.config_fingerprint = core::config_fingerprint(cfg);
   info.game = &cfg.game;  // cfg outlives every manifest write in run_cli
   info.config_fields = [cfg](util::JsonWriter& w) {
-    w.field("memory", cfg.memory);
-    w.field("ssets", static_cast<std::uint64_t>(cfg.ssets));
-    w.field("generations", cfg.generations);
-    w.field("rounds", static_cast<std::uint64_t>(cfg.game.rounds));
-    w.field("noise", cfg.game.noise);
-    w.field("pc_rate", cfg.pc_rate);
-    w.field("mutation_rate", cfg.mutation_rate);
-    w.field("beta", cfg.beta);
-    w.field("seed", cfg.seed);
+    write_config_fields(w, cfg);
   };
   info.ranks = ranks;
   info.generations = cfg.generations;
@@ -629,6 +618,46 @@ Headline report(const egt::pop::Population& pop,
   return {coop.mean_coop_rate, coop.mean_payoff};
 }
 
+/// The tail every run path (ft, parallel, serial) shares once the
+/// simulation has finished: the final census and headline statistic, the
+/// metrics-stream line, the --metrics-out manifest (the engine's merged
+/// `snapshot`, plus `traffic` for the rank engines), the legacy --manifest
+/// and the wall time. `ranks` is 0 for the serial engine.
+int finish_run(const egt::core::SimConfig& cfg, const OutputPaths& out,
+               int ranks, const egt::pop::Population& pop,
+               const egt::obs::MetricsSnapshot& snapshot,
+               const egt::par::TrafficReport* traffic,
+               const egt::obs::MetricsStreamWriter* stream,
+               egt::obs::MetricsRegistry& metrics,
+               const egt::util::Timer& timer) {
+  using namespace egt;
+  const Headline headline = report(pop, cfg);
+  const double wall = timer.seconds();
+  if (stream != nullptr) {
+    std::printf("metrics stream written: %s (%llu lines)\n",
+                stream->path().c_str(),
+                static_cast<unsigned long long>(stream->lines_written()));
+  }
+  if (!out.metrics_out.empty()) {
+    obs::ManifestInfo info = manifest_info(cfg, ranks, wall);
+    info.metrics = &snapshot;
+    info.traffic = traffic;
+    try_write_metrics_manifest(out.metrics_out, info, metrics);
+  }
+  const std::uint64_t pairs = snapshot.counter_value("engine.pairs_evaluated");
+  if (!out.manifest.empty()) {
+    write_legacy_manifest(out.manifest, cfg, pop, headline, wall, pairs);
+    std::printf("manifest written: %s\n", out.manifest.c_str());
+  }
+  if (ranks == 0) {
+    std::printf("wall time: %.2f s (%llu pair evaluations)\n", wall,
+                static_cast<unsigned long long>(pairs));
+  } else {
+    std::printf("wall time: %.2f s\n", wall);
+  }
+  return 0;
+}
+
 }  // namespace
 
 int run_cli(int argc, char** argv) {
@@ -658,7 +687,7 @@ int run_cli(int argc, char** argv) {
   }
   if (out.ranks > 0 && !out.resume.empty()) {
     throw std::invalid_argument(
-        "--resume/--restore is a serial-engine feature; the parallel "
+        "--resume is a serial-engine feature; the parallel "
         "engines replay from generation 0");
   }
 
@@ -689,27 +718,9 @@ int run_cli(int argc, char** argv) {
             result.metrics.counter_value("ft.recovery.blocks_restored")),
         static_cast<unsigned long long>(
             result.metrics.counter_value("ft.recovery.blocks_recomputed")));
-    const Headline headline = report(result.population, cfg);
-    const double wall = timer.seconds();
-    if (stream) {
-      std::printf("metrics stream written: %s (%llu lines)\n",
-                  stream->path().c_str(),
-                  static_cast<unsigned long long>(stream->lines_written()));
-    }
-    if (!out.metrics_out.empty()) {
-      obs::ManifestInfo info = manifest_info(cfg, out.ranks, wall);
-      info.metrics = &result.metrics;  // includes the ft.* family
-      info.traffic = &result.traffic;
-      try_write_metrics_manifest(out.metrics_out, info, metrics);
-    }
-    if (!out.manifest.empty()) {
-      write_legacy_manifest(
-          out.manifest, cfg, result.population, headline, wall,
-          result.metrics.counter_value("engine.pairs_evaluated"));
-      std::printf("manifest written: %s\n", out.manifest.c_str());
-    }
-    std::printf("wall time: %.2f s\n", wall);
-    return 0;
+    // The merged snapshot includes the ft.* family.
+    return finish_run(cfg, out, out.ranks, result.population, result.metrics,
+                      &result.traffic, stream.get(), metrics, timer);
   }
 
   if (out.ranks > 0) {
@@ -730,27 +741,8 @@ int run_cli(int argc, char** argv) {
         static_cast<unsigned long long>(t.bcast_bytes),
         static_cast<unsigned long long>(t.p2p_messages),
         static_cast<unsigned long long>(t.p2p_bytes));
-    const Headline headline = report(result.population, cfg);
-    const double wall = timer.seconds();
-    if (stream) {
-      std::printf("metrics stream written: %s (%llu lines)\n",
-                  stream->path().c_str(),
-                  static_cast<unsigned long long>(stream->lines_written()));
-    }
-    if (!out.metrics_out.empty()) {
-      obs::ManifestInfo info = manifest_info(cfg, out.ranks, wall);
-      info.metrics = &result.metrics;
-      info.traffic = &result.traffic;
-      try_write_metrics_manifest(out.metrics_out, info, metrics);
-    }
-    if (!out.manifest.empty()) {
-      write_legacy_manifest(
-          out.manifest, cfg, result.population, headline, wall,
-          result.metrics.counter_value("engine.pairs_evaluated"));
-      std::printf("manifest written: %s\n", out.manifest.c_str());
-    }
-    std::printf("wall time: %.2f s\n", wall);
-    return 0;
+    return finish_run(cfg, out, out.ranks, result.population, result.metrics,
+                      &result.traffic, stream.get(), metrics, timer);
   }
 
   core::Engine engine =
@@ -822,7 +814,7 @@ int run_cli(int argc, char** argv) {
   // Serial generation loop with graceful-shutdown points: SIGTERM/SIGINT
   // and the --max-wall-seconds deadline both stop the run at the next
   // generation boundary, commit a final checkpoint, and exit cleanly —
-  // never mid-write. The run is then resumable with --resume/--restore.
+  // never mid-write. The run is then resumable with --resume.
   std::signal(SIGTERM, request_stop);
   std::signal(SIGINT, request_stop);
   std::string stop_reason;
@@ -851,11 +843,6 @@ int run_cli(int argc, char** argv) {
     }
   }
   if (!out.trace_out.empty()) try_write_trace(out.trace_out, metrics);
-  if (stream) {
-    std::printf("metrics stream written: %s (%llu lines)\n",
-                stream->path().c_str(),
-                static_cast<unsigned long long>(stream->lines_written()));
-  }
 
   if (!out.checkpoint.empty()) {
     core::write_checkpoint_file(engine, out.checkpoint);
@@ -884,22 +871,9 @@ int run_cli(int argc, char** argv) {
     std::printf("heat map written: %s_final.ppm\n", out.heatmap.c_str());
   }
 
-  const Headline headline = report(engine.population(), cfg);
-  const double wall = timer.seconds();
-  if (!out.metrics_out.empty()) {
-    const obs::MetricsSnapshot snap = metrics.snapshot();
-    obs::ManifestInfo info = manifest_info(cfg, /*ranks=*/0, wall);
-    info.metrics = &snap;
-    try_write_metrics_manifest(out.metrics_out, info, metrics);
-  }
-  if (!out.manifest.empty()) {
-    write_legacy_manifest(out.manifest, cfg, engine.population(), headline,
-                          wall, engine.pairs_evaluated());
-    std::printf("manifest written: %s\n", out.manifest.c_str());
-  }
-  std::printf("wall time: %.2f s (%llu pair evaluations)\n", wall,
-              static_cast<unsigned long long>(engine.pairs_evaluated()));
-  return 0;
+  return finish_run(cfg, out, /*ranks=*/0, engine.population(),
+                    metrics.snapshot(), /*traffic=*/nullptr, stream.get(),
+                    metrics, timer);
 }
 
 int main(int argc, char** argv) {

@@ -7,8 +7,11 @@
 //      (Fermi imitation on this generation's fitness) and a mutation event;
 //      both apply before the next generation starts.
 //
-// The parallel engine (parallel_engine.hpp) produces the exact same
-// trajectory; tests assert bit-identical strategy tables and fitness.
+// The generation itself is core::GenerationProtocol over the Local
+// transport (core/generation.hpp). The parallel engines (parallel_engine.hpp,
+// ft/ft_engine.hpp) run the same protocol over their own transports and
+// produce the exact same trajectory; tests assert bit-identical strategy
+// tables and fitness.
 #pragma once
 
 #include <memory>
@@ -16,6 +19,8 @@
 #include "core/config.hpp"
 #include "pop/graph.hpp"
 #include "core/fitness.hpp"
+#include "core/generation.hpp"
+#include "core/instruments.hpp"
 #include "core/observer.hpp"
 #include "core/trace.hpp"
 #include "obs/metrics.hpp"
@@ -92,13 +97,13 @@ class Engine {
 
   /// Total ordered pairs evaluated so far (work accounting).
   std::uint64_t pairs_evaluated() const noexcept {
-    return fitness_.pairs_evaluated();
+    return rows_.fit().pairs_evaluated();
   }
 
   /// Games actually played so far — <= pairs_evaluated(); the gap is the
   /// strategy-interned dedup saving (config.dedup, Analytic mode).
   std::uint64_t games_played() const noexcept {
-    return fitness_.games_played();
+    return rows_.fit().games_played();
   }
 
   /// The interaction graph (null for the well-mixed population).
@@ -107,39 +112,27 @@ class Engine {
   }
 
   /// The fitness block (checkpointing its evaluation state).
-  const BlockFitness& fitness_block() const noexcept { return fitness_; }
+  const BlockFitness& fitness_block() const noexcept { return rows_.fit(); }
 
  private:
-  /// Resolve phase histograms / event counters once (lock-free afterwards).
-  void bind_metrics(obs::MetricsRegistry* metrics);
-  /// Add fitness_.pairs_evaluated() / games_played() growth to the
-  /// engine.pairs_evaluated and engine.games_played counters.
-  void account_pairs();
+  /// The state every constructor starts from, before any evaluation.
+  Engine(const SimConfig& config, pop::Population pop,
+         std::uint64_t generation, obs::MetricsRegistry* metrics);
+  /// Check a checkpointed population against the config; restore Nature.
+  void restore_nature(const pop::NatureAgent::State& nature);
+  /// The initial all-pairs evaluation.
+  void initialize();
 
   SimConfig config_;
   pop::Population pop_;
   std::shared_ptr<const pop::InteractionGraph> graph_;  // before nature_
   pop::NatureAgent nature_;
-  BlockFitness fitness_;
+  BlockRows rows_;
+  /// Phase timers and engine.* counters (all null when unobserved).
+  EngineInstruments ins_;
   std::uint64_t generation_ = 0;
   GenerationRecord record_;
   TraceSink* trace_ = nullptr;
-
-  // Instrumentation (all null when the engine runs unobserved).
-  obs::Histogram* ph_game_play_ = nullptr;
-  obs::Histogram* ph_plan_ = nullptr;
-  obs::Histogram* ph_fitness_return_ = nullptr;
-  obs::Histogram* ph_decision_ = nullptr;
-  obs::Histogram* ph_apply_ = nullptr;
-  obs::Counter* ct_generations_ = nullptr;
-  obs::Counter* ct_pc_events_ = nullptr;
-  obs::Counter* ct_adoptions_ = nullptr;
-  obs::Counter* ct_moran_events_ = nullptr;
-  obs::Counter* ct_mutations_ = nullptr;
-  obs::Counter* ct_pairs_ = nullptr;
-  obs::Counter* ct_games_ = nullptr;
-  std::uint64_t pairs_accounted_ = 0;
-  std::uint64_t games_accounted_ = 0;
 };
 
 /// Null for well-mixed configs; the shared graph otherwise.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/instruments.hpp"
 #include "ft/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -28,11 +29,6 @@ double pick_real(util::Xoshiro256& rng, double lo, double hi) {
 constexpr int kDataTags[] = {tag::kPlan, tag::kPlanAck, tag::kReqFit,
                              tag::kFit,  tag::kDecide,  tag::kPong,
                              tag::kBlocks};
-
-constexpr const char* kEngineCounters[] = {
-    "engine.generations",  "engine.pc_events", "engine.adoptions",
-    "engine.moran_events", "engine.mutations", "engine.pairs_evaluated",
-};
 
 }  // namespace
 
@@ -175,7 +171,10 @@ ChaosOutcome run_chaos_schedule(std::uint64_t seed) {
   // trajectory exact but over-counts recovery work.
   const auto planned = static_cast<int>(s.options.plan.kills().size());
   if (ft->ranks_lost == planned) {
-    for (const char* name : kEngineCounters) {
+    for (const auto& f : core::EngineCounters::kFields) {
+      // Games depend on the row partition (the dedup table is per block).
+      if (f.name == core::EngineCounters::kPartitionDependent) continue;
+      const char* name = f.name;
       if (ft->metrics.counter_value(name) != ref_metrics.counter_value(name)) {
         why << " counter " << name << "=" << ft->metrics.counter_value(name)
             << " want " << ref_metrics.counter_value(name) << ";";

@@ -18,6 +18,7 @@
 #include "core/checkpoint.hpp"
 #include "core/engine.hpp"
 #include "core/fitness.hpp"
+#include "core/generation.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/wire.hpp"
 #include "ft/block_checkpoint.hpp"
@@ -40,26 +41,17 @@ using core::wire::Writer;
 
 // -- instruments --------------------------------------------------------------
 
-// Same phase timers and "engine.*" counters as the base engines (so serial,
-// parallel and ft manifests are directly comparable), plus the "ft.*"
-// family. The master-family counters (engine.generations, the event
-// counters incremented by the apply stages, the failure detector's
-// tallies) exist only on ranks that actually are the master: rank 0 from
-// launch, and any standby from the moment it wins an election (promote()).
-// Registering them on every rank would multiply the merged event counts,
-// because the apply stages run on every rank.
+// The "ft.*" family, beside the engine instrument set every engine shares
+// (core::EngineInstruments: phase timers and "engine.*" counters, so
+// serial, parallel and ft manifests are directly comparable). The
+// master-family counters (the failure detector's tallies, log replication)
+// exist only on ranks that actually are the master: rank 0 from launch,
+// and any standby from the moment it wins an election (promote()).
 struct FtInstruments {
   // Every rank.
-  obs::Histogram* game_play = nullptr;
-  obs::Histogram* plan = nullptr;
-  obs::Histogram* fitness_return = nullptr;
-  obs::Histogram* decision = nullptr;
-  obs::Histogram* apply = nullptr;
   obs::Histogram* ckpt = nullptr;
   obs::Histogram* recovery = nullptr;
   obs::Histogram* election = nullptr;
-  obs::Counter* pairs = nullptr;           // engine.pairs_evaluated
-  obs::Counter* games = nullptr;           // engine.games_played
   obs::Counter* recovery_pairs = nullptr;  // ft.recovery.pairs_evaluated
   obs::Counter* recovery_games = nullptr;  // ft.recovery.games_played
   obs::Counter* ckpt_writes = nullptr;
@@ -74,11 +66,6 @@ struct FtInstruments {
   obs::Counter* elections = nullptr;    // election rounds entered
   obs::Counter* failovers = nullptr;    // elections won (takeovers)
   // Masters only (null until promote()).
-  obs::Counter* generations = nullptr;
-  obs::Counter* pc_events = nullptr;
-  obs::Counter* adoptions = nullptr;
-  obs::Counter* moran_events = nullptr;
-  obs::Counter* mutations = nullptr;
   obs::Counter* failures = nullptr;
   obs::Counter* recoveries = nullptr;
   obs::Counter* suspects = nullptr;
@@ -87,22 +74,11 @@ struct FtInstruments {
   obs::Counter* stale = nullptr;
   obs::Counter* log_records = nullptr;  // master side: records replicated
   obs::Counter* log_bytes = nullptr;
-  // The rank's registry itself, for components that register their own
-  // counter family (BlockFitness's "fitness.*").
-  obs::MetricsRegistry* registry = nullptr;
 
   FtInstruments(obs::MetricsRegistry& reg, bool is_master) {
-    registry = &reg;
-    game_play = &reg.histogram(obs::phase::kGamePlay);
-    plan = &reg.histogram(obs::phase::kPlanBcast);
-    fitness_return = &reg.histogram(obs::phase::kFitnessReturn);
-    decision = &reg.histogram(obs::phase::kDecisionBcast);
-    apply = &reg.histogram(obs::phase::kApplyUpdate);
     ckpt = &reg.histogram("phase.ft_checkpoint");
     recovery = &reg.histogram("phase.ft_recovery");
     election = &reg.histogram("phase.ft_election");
-    pairs = &reg.counter("engine.pairs_evaluated");
-    games = &reg.counter("engine.games_played");
     recovery_pairs = &reg.counter("ft.recovery.pairs_evaluated");
     recovery_games = &reg.counter("ft.recovery.games_played");
     ckpt_writes = &reg.counter("ft.checkpoint.writes");
@@ -123,12 +99,7 @@ struct FtInstruments {
   /// (so a fault-free run's manifest still reports ft.recoveries = 0
   /// explicitly) and at election victory on a promoted standby.
   void promote(obs::MetricsRegistry& reg) {
-    if (generations != nullptr) return;
-    generations = &reg.counter("engine.generations");
-    pc_events = &reg.counter("engine.pc_events");
-    adoptions = &reg.counter("engine.adoptions");
-    moran_events = &reg.counter("engine.moran_events");
-    mutations = &reg.counter("engine.mutations");
+    if (failures != nullptr) return;
     failures = &reg.counter("ft.failures_detected");
     recoveries = &reg.counter("ft.recoveries");
     suspects = &reg.counter("ft.suspected_ranks");
@@ -152,12 +123,12 @@ struct FtInstruments {
 // and per-generation work count to "engine.pairs_evaluated" (so the merged
 // total matches a fault-free run under kill-only plans); work that only
 // exists because of recovery counts to "ft.recovery.pairs_evaluated".
-class BlockSet {
+class BlockSet final : public core::OwnedFitness {
  public:
   BlockSet(const core::SimConfig& config,
            std::shared_ptr<const pop::InteractionGraph> graph,
-           FtInstruments& ins)
-      : config_(config), graph_(std::move(graph)), ins_(ins) {}
+           const core::EngineInstruments& eng, FtInstruments& ins)
+      : config_(config), graph_(std::move(graph)), eng_(eng), ins_(ins) {}
 
   bool cached_mode() const noexcept {
     return config_.fitness_mode != core::FitnessMode::Sampled;
@@ -174,43 +145,39 @@ class BlockSet {
     return config_.ssets;
   }
 
-  /// Fault-free startup block: initialization counts to engine.pairs, as
-  /// in the base engines.
-  void add_initial(pop::SSetId begin, pop::SSetId end,
-                   const pop::Population& pop) {
-    Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
-               {},
-               0,
-               0};
-    {
-      obs::ScopedTimer t(ins_.game_play);
-      obs::TraceSpan span(obs::phase::kGamePlay, obs::kCatPhase);
-      blk.fit.initialize(pop);
-      span.set_arg("games", blk.fit.games_played());
-    }
-    blk.accounted = blk.fit.pairs_evaluated();
-    ins_.pairs->inc(blk.accounted);
-    blk.games_accounted = blk.fit.games_played();
-    ins_.games->inc(blk.games_accounted);
-    blk.snapshot.assign(blk.fit.block().size(), 0.0);
-    blocks_.push_back(std::move(blk));
+  /// A fault-free startup block, evaluated by initialize(): its work
+  /// counts to engine.pairs, as in the base engines.
+  void add_initial(pop::SSetId begin, pop::SSetId end) {
+    blocks_.push_back(Block{
+        core::BlockFitness(config_, begin, end, graph_, eng_.registry), {}, 0,
+        0});
   }
 
-  void begin_generation(const pop::Population& pop, std::uint64_t gen) {
-    obs::ScopedTimer t(ins_.game_play);
-    obs::TraceSpan span(obs::phase::kGamePlay, obs::kCatPhase);
+  void initialize(const pop::Population& pop) override {
+    for (Block& b : blocks_) {
+      b.fit.initialize(pop);
+      b.snapshot.assign(b.fit.block().size(), 0.0);
+    }
+  }
+
+  void begin_generation(pop::Population& pop, std::uint64_t gen) override {
     for (Block& b : blocks_) {
       b.fit.begin_generation(pop, gen);
       b.snapshot.assign(b.fit.block().begin(), b.fit.block().end());
     }
     changed_this_gen_.clear();
-    account_engine_pairs();
   }
 
   void strategy_changed(pop::SSetId k, const pop::Population& pop,
-                        std::uint64_t gen) {
+                        std::uint64_t gen) override {
     for (Block& b : blocks_) b.fit.strategy_changed(k, pop, gen);
     changed_this_gen_.push_back(k);
+  }
+
+  std::uint64_t games_played() const override {
+    std::uint64_t games = 0;
+    for (const Block& b : blocks_) games += b.fit.games_played();
+    return games;
   }
 
   bool owns(pop::SSetId i) const noexcept {
@@ -268,23 +235,35 @@ class BlockSet {
     }
   }
 
-  /// Adopt range [begin, end) from a dead rank, mid-generation `gen`.
-  /// `pop` is the current population replica; `pop_gen_start` its state at
-  /// the top of `gen` (before this generation's updates).
+  /// Adopt range [begin, end) from a dead rank. `pop` is the current
+  /// population replica; `pop_gen_start` its state at the top of `gen`
+  /// (before this generation's updates).
   ///
   /// Fast path: an intact covering block checkpoint restores the exact
-  /// doubles (bit-exact, zero games). Recompute path: Sampled re-plays the
-  /// block with this generation's streams from the top-of-generation
-  /// population (bit-exact by purity; counts to engine.pairs exactly as
-  /// the dead rank's evaluation would have); cached modes re-initialize
-  /// from scratch and replay this generation's strategy changes (recovery
-  /// work, counts to ft.recovery.pairs_evaluated).
+  /// doubles (bit-exact, zero games).
+  ///
+  /// `mid_gen` = generation `gen` is in flight, so the block must be
+  /// rebuilt inside it. Sampled re-plays the block with this generation's
+  /// streams from the top-of-generation population (bit-exact by purity;
+  /// counts to engine.pairs exactly as the dead rank's evaluation would
+  /// have); cached modes re-initialize from scratch and replay this
+  /// generation's strategy changes (recovery work, counts to
+  /// ft.recovery.pairs_evaluated).
+  ///
+  /// At a generation boundary no generation is in flight, `gen` is the
+  /// next one to run, and the caller's main loop will run begin_generation
+  /// over every block — including this one — when it starts. So the block
+  /// only needs the state begin_generation builds on: a checkpoint restore
+  /// (cached modes; any intact entry whose table hash matches is
+  /// bit-exact) or a from-scratch initialize; Sampled blocks need nothing
+  /// at all, the next begin_generation replays them.
   void adopt(pop::SSetId begin, pop::SSetId end, const pop::Population& pop,
              const pop::Population& pop_gen_start, std::uint64_t gen,
-             const CheckpointStore& store, std::uint64_t fingerprint) {
-    obs::ScopedTimer t(ins_.recovery);
-    obs::TraceSpan span("phase.ft_recovery", obs::kCatFt, "begin", begin);
-    Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
+             bool mid_gen, const CheckpointStore& store,
+             std::uint64_t fingerprint) {
+    obs::PhaseScope scope(ins_.recovery, "phase.ft_recovery", obs::kCatFt,
+                          "begin", begin);
+    Block blk{core::BlockFitness(config_, begin, end, graph_, eng_.registry),
                {},
                0,
                0};
@@ -298,69 +277,28 @@ class BlockSet {
       FtInstruments::inc(ins_.blocks_restored);
     } else {
       if (cached_mode()) {
-        blk.fit.initialize(pop_gen_start);
+        blk.fit.initialize(mid_gen ? pop_gen_start : pop);
         FtInstruments::inc(ins_.recovery_pairs, blk.fit.pairs_evaluated());
         FtInstruments::inc(ins_.recovery_games, blk.fit.games_played());
         blk.accounted = blk.fit.pairs_evaluated();
         blk.games_accounted = blk.fit.games_played();
       }
-      blk.fit.begin_generation(pop_gen_start, gen);
-      ins_.pairs->inc(blk.fit.pairs_evaluated() - blk.accounted);
-      blk.accounted = blk.fit.pairs_evaluated();
-      ins_.games->inc(blk.fit.games_played() - blk.games_accounted);
-      blk.games_accounted = blk.fit.games_played();
-      // Snapshot = top-of-generation values, before this generation's
-      // updates (which are replayed on top for the cached modes below).
-      blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
-      for (pop::SSetId k : changed_this_gen_) {
-        blk.fit.strategy_changed(k, pop, gen);
-      }
-      FtInstruments::inc(ins_.recovery_pairs,
-                         blk.fit.pairs_evaluated() - blk.accounted);
-      FtInstruments::inc(ins_.recovery_games,
-                         blk.fit.games_played() - blk.games_accounted);
-      FtInstruments::inc(ins_.blocks_recomputed);
-    }
-    blk.accounted = blk.fit.pairs_evaluated();
-    blk.games_accounted = blk.fit.games_played();
-    blocks_.push_back(std::move(blk));
-  }
-
-  /// Adopt range [begin, end) at a generation boundary: no generation is
-  /// in flight, `gen` is the next one to run, and the caller's main loop
-  /// will run begin_generation over every block — including this one — when
-  /// it starts. So the block only needs the state begin_generation builds
-  /// on: a checkpoint restore (cached modes; any intact entry whose table
-  /// hash matches is bit-exact) or a from-scratch initialize; Sampled
-  /// blocks need nothing at all, the next begin_generation replays them.
-  void adopt_at_boundary(pop::SSetId begin, pop::SSetId end,
-                         const pop::Population& pop, std::uint64_t gen,
-                         const CheckpointStore& store,
-                         std::uint64_t fingerprint) {
-    obs::ScopedTimer t(ins_.recovery);
-    obs::TraceSpan span("phase.ft_recovery", obs::kCatFt, "begin", begin);
-    Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
-               {},
-               0,
-               0};
-    const std::optional<BlockCheckpoint> hit =
-        lookup(store, begin, end, gen, pop);
-    if (hit && cached_mode() && hit->matrix_cols == expected_matrix_cols() &&
-        hit->config_fingerprint == fingerprint) {
-      blk.fit.restore_state(hit->fitness_slice(begin, end),
-                            hit->matrix_slice(begin, end), hit->dedup);
-      FtInstruments::inc(ins_.blocks_restored);
-    } else {
-      if (cached_mode()) {
-        blk.fit.initialize(pop);
-        FtInstruments::inc(ins_.recovery_pairs, blk.fit.pairs_evaluated());
-        FtInstruments::inc(ins_.recovery_games, blk.fit.games_played());
+      if (mid_gen) {
+        blk.fit.begin_generation(pop_gen_start, gen);
+        account_block(blk, eng_.pairs, eng_.games);
+        // Snapshot = top-of-generation values, before this generation's
+        // updates (which are replayed on top for the cached modes below).
+        blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
+        for (pop::SSetId k : changed_this_gen_) {
+          blk.fit.strategy_changed(k, pop, gen);
+        }
+        account_block(blk, ins_.recovery_pairs, ins_.recovery_games);
       }
       FtInstruments::inc(ins_.blocks_recomputed);
     }
     blk.accounted = blk.fit.pairs_evaluated();
     blk.games_accounted = blk.fit.games_played();
-    blk.snapshot.assign(blk.fit.block().size(), 0.0);
+    if (!mid_gen) blk.snapshot.assign(blk.fit.block().size(), 0.0);
     blocks_.push_back(std::move(blk));
   }
 
@@ -370,8 +308,7 @@ class BlockSet {
   void checkpoint_to(CheckpointStore& store, int rank, std::uint64_t next_gen,
                      std::uint64_t table_hash, std::uint64_t fingerprint,
                      bool torn) const {
-    obs::ScopedTimer t(ins_.ckpt);
-    obs::TraceSpan span("phase.ft_checkpoint", obs::kCatFt);
+    obs::PhaseScope scope(ins_.ckpt, "phase.ft_checkpoint", obs::kCatFt);
     for (const Block& b : blocks_) {
       BlockCheckpoint c;
       c.config_fingerprint = fingerprint;
@@ -395,15 +332,8 @@ class BlockSet {
   /// Move the growth of the pairs counters since the last accounting into
   /// engine.pairs_evaluated (per-generation work: begin_generation and
   /// strategy_changed deltas, both of which a fault-free run also pays).
-  void account_engine_pairs() {
-    for (Block& b : blocks_) {
-      const std::uint64_t now = b.fit.pairs_evaluated();
-      ins_.pairs->inc(now - b.accounted);
-      b.accounted = now;
-      const std::uint64_t games_now = b.fit.games_played();
-      ins_.games->inc(games_now - b.games_accounted);
-      b.games_accounted = games_now;
-    }
+  void account(const core::EngineInstruments& eng) override {
+    for (Block& b : blocks_) account_block(b, eng.pairs, eng.games);
   }
 
  private:
@@ -413,6 +343,15 @@ class BlockSet {
     std::uint64_t accounted = 0;   // pairs already flushed to a counter
     std::uint64_t games_accounted = 0;  // games already flushed to a counter
   };
+
+  /// Flush a block's pairs/games growth since its last flush.
+  static void account_block(Block& b, obs::Counter* pairs,
+                            obs::Counter* games) {
+    FtInstruments::inc(pairs, b.fit.pairs_evaluated() - b.accounted);
+    b.accounted = b.fit.pairs_evaluated();
+    FtInstruments::inc(games, b.fit.games_played() - b.games_accounted);
+    b.games_accounted = b.fit.games_played();
+  }
 
   /// CRC-verified checkpoint lookup; a corrupt entry skipped on the way to
   /// an older intact one counts to ft.checkpoint.fallbacks.
@@ -431,6 +370,7 @@ class BlockSet {
 
   core::SimConfig config_;
   std::shared_ptr<const pop::InteractionGraph> graph_;
+  const core::EngineInstruments& eng_;
   FtInstruments& ins_;
   std::vector<Block> blocks_;
   // Strategy changes applied in the current generation, in order —
@@ -444,11 +384,9 @@ constexpr const char* kWhat = "ft protocol message";
 
 // The decision(s) of one generation, as carried by DECIDE messages, by the
 // next PLAN's heal fields and by a TAKEOVER's heal fields.
-struct Decision {
+struct Decision : core::GenerationDecision {
   std::uint64_t gen = 0;
-  bool adopted = false;
   bool has_moran = false;
-  pop::MoranPick pick;
 };
 
 void put_decision_body(Writer& w, const Decision& d) {
@@ -468,16 +406,27 @@ Decision get_decision_body(Reader& r, std::uint64_t gen) {
   return d;
 }
 
-std::vector<std::byte> encode_plan_msg(std::uint64_t gen,
-                                       const std::optional<Decision>& prev,
-                                       const std::vector<std::byte>& plan) {
-  Writer w;
-  w.u64(gen);
+// The previous generation's decision a PLAN or TAKEOVER restates (heal).
+void put_prev_decision(Writer& w, const std::optional<Decision>& prev) {
   w.u8(prev ? 1 : 0);
   if (prev) {
     w.u64(prev->gen);
     put_decision_body(w, *prev);
   }
+}
+
+std::optional<Decision> get_prev_decision(Reader& r) {
+  if (r.u8("has prev decision") == 0) return std::nullopt;
+  const std::uint64_t gen = r.u64("prev generation");
+  return get_decision_body(r, gen);
+}
+
+std::vector<std::byte> encode_plan_msg(std::uint64_t gen,
+                                       const std::optional<Decision>& prev,
+                                       const std::vector<std::byte>& plan) {
+  Writer w;
+  w.u64(gen);
+  put_prev_decision(w, prev);
   w.bytes(plan);
   return w.take();
 }
@@ -547,40 +496,6 @@ struct Shared {
   }
 };
 
-// Applies one generation's scheduled updates in the fault-free order:
-// PC adoption, Moran replacement, mutation. `apply_pc` / `apply_final`
-// split the two decision stages (the Moran gather must see post-adoption
-// fitness, exactly as in the base engines).
-void apply_pc_stage(BlockSet& blocks, pop::Population& pop,
-                    const pop::GenerationPlan& plan, const Decision& d,
-                    std::uint64_t gen, FtInstruments& ins) {
-  if (plan.pc && d.adopted) {
-    FtInstruments::inc(ins.adoptions);
-    obs::ScopedTimer t(ins.apply);
-    obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-    pop.set_strategy(plan.pc->learner, pop.strategy(plan.pc->teacher));
-    blocks.strategy_changed(plan.pc->learner, pop, gen);
-  }
-}
-
-void apply_final_stage(BlockSet& blocks, pop::Population& pop,
-                       const pop::GenerationPlan& plan, const Decision& d,
-                       std::uint64_t gen, FtInstruments& ins) {
-  if (plan.moran && d.pick.is_change()) {
-    obs::ScopedTimer t(ins.apply);
-    obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-    pop.set_strategy(d.pick.dying, pop.strategy(d.pick.reproducer));
-    blocks.strategy_changed(d.pick.dying, pop, gen);
-  }
-  if (plan.mutation) {
-    FtInstruments::inc(ins.mutations);
-    obs::ScopedTimer t(ins.apply);
-    obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-    pop.set_strategy(plan.mutation->target, plan.mutation->strategy);
-    blocks.strategy_changed(plan.mutation->target, pop, gen);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // One rank's whole life, worker and master alike. Every rank starts as a
 // worker except rank 0, which starts as the master; a worker that wins an
@@ -590,12 +505,18 @@ void apply_final_stage(BlockSet& blocks, pop::Population& pop,
 // the master role bit-for-bit.
 // ---------------------------------------------------------------------------
 
-class RankProgram {
+//
+// As the master, the rank runs the shared generation protocol
+// (core/generation.hpp) over the star protocol below — it is the FtMaster
+// transport. As a worker it stays message-driven but applies every
+// decision through the same protocol's apply stages.
+class RankProgram final : private core::GenerationTransport {
  public:
   RankProgram(par::Comm& comm, Shared& shared, obs::MetricsRegistry& registry)
       : comm_(comm),
         shared_(shared),
         registry_(registry),
+        eng_(&registry, /*master=*/comm.rank() == 0),
         ins_(registry, /*is_master=*/comm.rank() == 0),
         config_(shared.config),
         rank_(comm.rank()),
@@ -603,18 +524,20 @@ class RankProgram {
         pop_gen_start_(pop_),
         graph_(core::make_shared_graph(config_)),
         table_(OwnershipTable::initial(config_.ssets, comm.size())),
-        blocks_(config_, graph_, ins_),
+        blocks_(config_, graph_, eng_, ins_),
+        protocol_(pop_, blocks_, *this, eng_),
         kill_gen_(shared.options.plan.kill_generation(rank_)) {
     for (const auto& [b, e] : table_.ranges_of(rank_)) {
-      blocks_.add_initial(b, e, pop_);
+      blocks_.add_initial(b, e);
     }
+    protocol_.initialize();
+    protocol_.set_hooks({.trace = shared.options.trace,
+                         .stream = shared.options.metrics_stream});
   }
 
   void run() {
     if (rank_ == 0) {
-      auto nc = config_.nature_config();
-      nc.graph = graph_;
-      nature_.emplace(nc);
+      start_nature();
       for (int w = 1; w < comm_.size(); ++w) alive_.push_back(w);
       run_master(0);
     } else {
@@ -623,6 +546,8 @@ class RankProgram {
   }
 
  private:
+  using Stage = core::GenerationProtocol::Stage;
+
   // What a handled message means for the caller's control flow.
   enum class Ev {
     Handled,     // routine message processed
@@ -655,6 +580,14 @@ class RankProgram {
     return std::find(alive_.begin(), alive_.end(), r) != alive_.end();
   }
 
+  /// This master and its alive workers, in rank order.
+  std::vector<int> members() const {
+    std::vector<int> all{rank_};
+    all.insert(all.end(), alive_.begin(), alive_.end());
+    std::sort(all.begin(), all.end());
+    return all;
+  }
+
   std::chrono::nanoseconds my_silence() const {
     // Standbys (ranks holding a log copy) time out first: they can resume
     // the run; ranks without a log can only win an election nobody better
@@ -676,8 +609,15 @@ class RankProgram {
 
   // -- generation bookkeeping shared by worker and master -------------------
 
+  void start_nature() {
+    auto nc = config_.nature_config();
+    nc.graph = graph_;
+    nature_.emplace(nc);
+    protocol_.set_nature(&*nature_);
+  }
+
   void finish_generation(std::uint64_t gen) {
-    blocks_.account_engine_pairs();
+    blocks_.account(eng_);
     const std::uint64_t every = shared_.options.checkpoint_every;
     if (every > 0 && (gen + 1) % every == 0) {
       const bool torn =
@@ -694,12 +634,20 @@ class RankProgram {
     if (!pending_ || !prev || prev->gen != pending_->gen) return;
     FtInstruments::inc(ins_.heals);
     obs::trace_instant("ft.heal", obs::kCatFt, "gen", pending_->gen);
-    if (!pending_->pc_applied) {
-      apply_pc_stage(blocks_, pop_, pending_->plan, *prev, pending_->gen,
-                     ins_);
-    }
-    apply_final_stage(blocks_, pop_, pending_->plan, *prev, pending_->gen,
-                      ins_);
+    close_pending(*prev);
+  }
+
+  /// The pending generation's PC stage, applied once.
+  void apply_pending_pc(const Decision& d) {
+    if (pending_->pc_applied) return;
+    protocol_.apply(Stage::Pc, pending_->plan, d, pending_->gen);
+    pending_->pc_applied = true;
+  }
+
+  /// Apply the rest of the pending generation and close it.
+  void close_pending(const Decision& d) {
+    apply_pending_pc(d);
+    protocol_.apply(Stage::Final, pending_->plan, d, pending_->gen);
     const std::uint64_t gen = pending_->gen;
     pending_.reset();
     finish_generation(gen);
@@ -712,13 +660,8 @@ class RankProgram {
   void adopt_missing_ranges(std::uint64_t gen, bool mid_gen) {
     for (const auto& [b, e] : table_.ranges_of(rank_)) {
       if (blocks_.owns_range(b, e)) continue;
-      if (mid_gen) {
-        blocks_.adopt(b, e, pop_, pop_gen_start_, gen, shared_.store,
-                      shared_.fingerprint);
-      } else {
-        blocks_.adopt_at_boundary(b, e, pop_, gen, shared_.store,
-                                  shared_.fingerprint);
-      }
+      blocks_.adopt(b, e, pop_, pop_gen_start_, gen, mid_gen, shared_.store,
+                    shared_.fingerprint);
     }
   }
 
@@ -758,11 +701,7 @@ class RankProgram {
       case tag::kPlan: {
         Reader r(m.payload, kWhat);
         const std::uint64_t gen = r.u64("generation");
-        std::optional<Decision> prev;
-        if (r.u8("has prev decision") != 0) {
-          const std::uint64_t pgen = r.u64("prev generation");
-          prev = get_decision_body(r, pgen);
-        }
+        const std::optional<Decision> prev = get_prev_decision(r);
         const auto plan_wire = r.bytes("plan payload");
         r.expect_exhausted();
         if (kill_gen_ && *kill_gen_ == gen) {
@@ -782,13 +721,13 @@ class RankProgram {
         // plan carries it (FIFO order from the master makes this safe).
         heal_pending(prev);
         EGT_ASSERT(!pending_);
-        blocks_.begin_generation(pop_, gen);
+        protocol_.play(gen);
         pop_gen_start_ = pop_;
         pop::GenerationPlan plan = core::decode_generation_plan(plan_wire);
         if (plan.pc || plan.moran) {
           pending_ = Pending{gen, std::move(plan), false};
         } else {
-          apply_final_stage(blocks_, pop_, plan, Decision{}, gen, ins_);
+          protocol_.apply(Stage::Final, plan, Decision{}, gen);
           finish_generation(gen);
         }
         last_gen_ = static_cast<std::int64_t>(gen);
@@ -802,23 +741,10 @@ class RankProgram {
         const Decision d = get_decision_body(r, gen);
         r.expect_exhausted();
         if (!pending_ || pending_->gen != gen) break;  // stale duplicate
-        if (stage == DecideStage::Pc) {
-          if (!pending_->pc_applied) {
-            apply_pc_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-            pending_->pc_applied = true;
-          }
-          if (!pending_->plan.moran) {
-            apply_final_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-            pending_.reset();
-            finish_generation(gen);
-          }
+        if (stage == DecideStage::Final || !pending_->plan.moran) {
+          close_pending(d);
         } else {
-          if (!pending_->pc_applied) {
-            apply_pc_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-          }
-          apply_final_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-          pending_.reset();
-          finish_generation(gen);
+          apply_pending_pc(d);
         }
         break;
       }
@@ -851,8 +777,7 @@ class RankProgram {
           d.adopted = adopted;
           FtInstruments::inc(ins_.heals);
           obs::trace_instant("ft.heal", obs::kCatFt, "gen", gen);
-          apply_pc_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-          pending_->pc_applied = true;
+          apply_pending_pc(d);
         }
         Writer w;
         w.u64(req);
@@ -941,11 +866,7 @@ class RankProgram {
     Reader r(m.payload, kWhat);
     const std::uint64_t view = r.u64("view");
     const std::uint64_t resume = r.u64("resume generation");
-    std::optional<Decision> prev;
-    if (r.u8("has prev decision") != 0) {
-      const std::uint64_t pgen = r.u64("prev generation");
-      prev = get_decision_body(r, pgen);
-    }
+    const std::optional<Decision> prev = get_prev_decision(r);
     const std::uint32_t epoch = r.u32("epoch");
     OwnershipTable next = OwnershipTable::decode(r);
     r.expect_exhausted();
@@ -1022,8 +943,7 @@ class RankProgram {
   /// loop (the old master reappeared, a new one took over, or this rank
   /// was evicted).
   bool run_election() {
-    obs::ScopedTimer timer(ins_.election);
-    obs::TraceSpan span("phase.ft_election", obs::kCatFt);
+    obs::PhaseScope scope(ins_.election, "phase.ft_election", obs::kCatFt);
     std::uint64_t min_view = view_ + 1;
     for (;;) {
       FtInstruments::inc(ins_.elections);
@@ -1034,31 +954,13 @@ class RankProgram {
       // Collect votes; the window extends while they keep arriving and
       // restarts when a higher view joins.
       auto deadline = Clock::now() + shared_.window;
-      for (;;) {
-        const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            deadline - Clock::now());
-        if (left <= std::chrono::nanoseconds::zero()) break;
-        auto m = comm_.recv_for(par::kAnySource, par::kAnyTag, left);
-        if (!m) break;
-        if (m->tag == tag::kElect) {
-          const std::uint64_t v = note_vote(*m);
-          if (v >= view) {
-            view = v;
-            deadline = Clock::now() + shared_.window;
-          }
-          continue;
+      Ev ev = serve_round(deadline, [&](std::uint64_t v) {
+        if (v >= view) {
+          view = v;
+          deadline = Clock::now() + shared_.window;
         }
-        switch (handle_message(*m)) {
-          case Ev::Exit:
-            return true;
-          case Ev::TookOver:
-          case Ev::Evicted:
-          case Ev::FromMaster:
-            return false;
-          case Ev::Handled:
-            continue;
-        }
-      }
+      });
+      if (ev != Ev::Handled) return ev == Ev::Exit;
       // Tally: newest log wins, lowest rank breaks ties (the map iterates
       // ranks in ascending order, so strict > keeps the lowest).
       const auto& round = votes_[view];
@@ -1087,29 +989,30 @@ class RankProgram {
       }
       // Lost: give the winner one silence to announce itself, then retry
       // one view higher without it.
-      const auto tdeadline = Clock::now() + my_silence();
-      for (;;) {
-        const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            tdeadline - Clock::now());
-        if (left <= std::chrono::nanoseconds::zero()) break;
-        auto m = comm_.recv_for(par::kAnySource, par::kAnyTag, left);
-        if (!m) break;
-        if (m->tag == tag::kElect) {
-          note_vote(*m);
-          continue;
-        }
-        switch (handle_message(*m)) {
-          case Ev::Exit:
-            return true;
-          case Ev::TookOver:
-          case Ev::Evicted:
-          case Ev::FromMaster:
-            return false;
-          case Ev::Handled:
-            continue;
-        }
-      }
+      ev = serve_round(Clock::now() + my_silence(), [](std::uint64_t) {});
+      if (ev != Ev::Handled) return ev == Ev::Exit;
       min_view = view + 1;
+    }
+  }
+
+  // Serve an election round until `deadline` (which `on_vote` may push
+  // back): ELECT messages are votes, everything else routine traffic.
+  // Returns Handled at the deadline, or the event that ends the election
+  // early (released or killed, a new or returning master, evicted).
+  template <class OnVote>
+  Ev serve_round(const Clock::time_point& deadline, OnVote&& on_vote) {
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+          deadline - Clock::now());
+      if (left <= std::chrono::nanoseconds::zero()) return Ev::Handled;
+      auto m = comm_.recv_for(par::kAnySource, par::kAnyTag, left);
+      if (!m) return Ev::Handled;
+      if (m->tag == tag::kElect) {
+        on_vote(note_vote(*m));
+        continue;
+      }
+      const Ev ev = handle_message(*m);
+      if (ev != Ev::Handled) return ev;
     }
   }
 
@@ -1120,6 +1023,7 @@ class RankProgram {
   /// rest of the simulation as the master.
   void promote_and_run(std::uint64_t view) {
     ins_.promote(registry_);
+    eng_.promote();
     FtInstruments::inc(ins_.failovers);
     obs::trace_instant("ft.failover", obs::kCatFt, "view", view);
     shared_.failovers.fetch_add(1, std::memory_order_relaxed);
@@ -1127,9 +1031,7 @@ class RankProgram {
     voted_view_ = std::max(voted_view_, view);
     master_ = rank_;
 
-    auto nc = config_.nature_config();
-    nc.graph = graph_;
-    nature_.emplace(nc);
+    start_nature();
     std::uint64_t start_gen = 0;
     prev_decision_.reset();
     if (const DecisionLogRecord* rec = log_.newest()) {
@@ -1169,9 +1071,7 @@ class RankProgram {
   void takeover(std::uint64_t start_gen) {
     current_gen_ = start_gen;
     in_generation_ = false;
-    std::vector<int> survivors{rank_};
-    survivors.insert(survivors.end(), alive_.begin(), alive_.end());
-    std::sort(survivors.begin(), survivors.end());
+    const std::vector<int> survivors = members();
     for (int r = 0; r < comm_.size(); ++r) {
       if (r == rank_ || is_alive(r)) continue;
       if (table_.ranges_of(r).empty()) continue;
@@ -1188,11 +1088,7 @@ class RankProgram {
     Writer w;
     w.u64(view_);
     w.u64(start_gen);
-    w.u8(prev_decision_ ? 1 : 0);
-    if (prev_decision_) {
-      w.u64(prev_decision_->gen);
-      put_decision_body(w, *prev_decision_);
-    }
+    put_prev_decision(w, prev_decision_);
     w.u32(epoch_);
     table_.encode(w);
     const auto wire = w.take();
@@ -1286,10 +1182,7 @@ class RankProgram {
     // If it is actually alive (false positive), it must go passive rather
     // than keep serving a run that has moved on without it.
     comm_.send(dead, tag::kEvicted, {});
-    std::vector<int> survivors{rank_};
-    survivors.insert(survivors.end(), alive_.begin(), alive_.end());
-    std::sort(survivors.begin(), survivors.end());
-    table_.reassign(dead, survivors);
+    table_.reassign(dead, members());
     const std::uint32_t target_epoch = ++epoch_;
     adopt_missing_ranges(current_gen_, in_generation_);
     Writer w;
@@ -1348,22 +1241,41 @@ class RankProgram {
   // dropped can heal before replying — the gather must see post-adoption
   // fitness to match the fault-free trajectory.
   std::vector<double> collect_full(std::uint64_t gen, bool adopted) {
+    return gather(tag::kReqBlocks, tag::kBlocks, /*snapshot=*/false,
+                  [&](Writer& w) {
+                    w.u64(gen);
+                    w.u8(adopted ? 1 : 0);
+                  });
+  }
+
+  // Assemble a whole fitness vector: this rank's blocks (current values or
+  // the top-of-generation snapshot) plus every alive worker's ranges,
+  // requested with `request_tag` (id + `args`) and answered with
+  // `reply_tag`. A death mid-gather invalidates the round (the new owner's
+  // values were not requested) — rerun it with a fresh request id; late
+  // replies to the old id are discarded as stale.
+  template <class Args>
+  std::vector<double> gather(int request_tag, int reply_tag, bool snapshot,
+                             Args&& args) {
     for (;;) {
       std::vector<double> full(config_.ssets, 0.0);
-      blocks_.fill_current(full);
+      if (snapshot) {
+        blocks_.fill_snapshot(full);
+      } else {
+        blocks_.fill_current(full);
+      }
       const std::uint64_t req = ++req_seq_;
       Writer rw;
       rw.u64(req);
-      rw.u64(gen);
-      rw.u8(adopted ? 1 : 0);
+      args(rw);
       const auto wire = rw.take();
-      for (int w : alive_) comm_.send(w, tag::kReqBlocks, wire);
+      for (int w : alive_) comm_.send(w, request_tag, wire);
       bool lost = false;
       const std::vector<int> expected = alive_;
       for (int w : expected) {
         if (!is_alive(w)) continue;
         const bool ok = await_from(
-            w, tag::kBlocks,
+            w, reply_tag,
             [&](const par::Message& m) {
               Reader r(m.payload, kWhat);
               if (r.u64("request id") != req) return false;
@@ -1378,16 +1290,13 @@ class RankProgram {
               r.expect_exhausted();
               return true;
             },
-            [&] { comm_.send(w, tag::kReqBlocks, wire); });
+            [&] { comm_.send(w, request_tag, wire); });
         if (!ok) {
           handle_death(w);
           lost = true;
           break;
         }
       }
-      // A death mid-gather invalidates the round (the new owner's values
-      // were not requested) — rerun it with a fresh request id; late
-      // replies to the old id are discarded as stale.
       if (!lost) return full;
     }
   }
@@ -1410,9 +1319,7 @@ class RankProgram {
       rec.pick = d.pick;
       rec.epoch = epoch_;
       rec.table = table_;
-      rec.alive.push_back(rank_);
-      rec.alive.insert(rec.alive.end(), alive_.begin(), alive_.end());
-      std::sort(rec.alive.begin(), rec.alive.end());
+      rec.alive = members();
       rec.table_hash = pop_.table_hash();
       log_.append(rec);  // the master's own copy survives its own demotion
       const int nstandby = static_cast<int>(std::min<std::size_t>(
@@ -1442,6 +1349,77 @@ class RankProgram {
     }
   }
 
+  // -- the FtMaster transport of the generation protocol --------------------
+
+  // The plan goes out point-to-point, carrying the previous generation's
+  // decision as a heal; the acks are the per-generation heartbeat. A
+  // killed rank is detected here, before any of this generation's
+  // decisions.
+  void share_plan(std::uint64_t gen, pop::GenerationPlan& plan) override {
+    const auto plan_wire = core::encode_generation_plan(plan);
+    const auto wire = encode_plan_msg(gen, prev_decision_, plan_wire);
+    for (int w : alive_) comm_.send(w, tag::kPlan, wire);
+    const std::vector<int> expected = alive_;
+    for (int w : expected) {
+      if (!is_alive(w)) continue;
+      const bool ok = await_from(
+          w, tag::kPlanAck,
+          [&](const par::Message& m) {
+            return decode_u64(m, "acked generation") == gen;
+          },
+          [&] {
+            comm_.send(w, tag::kPlan,
+                       encode_plan_msg(gen, prev_decision_, plan_wire));
+          });
+      if (!ok) handle_death(w);
+    }
+    prev_decision_.reset();
+  }
+
+  std::pair<double, double> pair_fitness(pop::SSetId teacher,
+                                         pop::SSetId learner) override {
+    const double teacher_fitness = fitness_of(teacher);
+    return {teacher_fitness, fitness_of(learner)};
+  }
+
+  // The Moran gather needs post-adoption fitness on every rank, so this
+  // intermediate decision cannot wait for the generation's write-ahead
+  // record; the final (committing) one in commit() does.
+  void share_adoption(std::uint64_t gen, bool& adopted,
+                      bool moran_follows) override {
+    if (!moran_follows) return;
+    Decision d;
+    d.gen = gen;
+    d.adopted = adopted;
+    const auto wire = encode_decide(DecideStage::Pc, d);
+    for (int w : alive_) comm_.send(w, tag::kDecide, wire);
+  }
+
+  std::span<const double> gather_fitness(std::uint64_t gen,
+                                         bool adopted) override {
+    full_ = collect_full(gen, adopted);
+    return full_;
+  }
+
+  // Write-ahead: the record of this generation reaches the standbys before
+  // any worker can see its final decision.
+  void commit(std::uint64_t gen, const pop::GenerationPlan& plan,
+              const core::GenerationDecision& decided) override {
+    Decision decision;
+    static_cast<core::GenerationDecision&>(decision) = decided;
+    decision.gen = gen;
+    decision.has_moran = plan.moran;
+    replicate(gen, decision);
+    if (plan.pc || plan.moran) {
+      obs::PhaseScope scope(eng_.decision, obs::phase::kDecisionBcast);
+      const auto wire = encode_decide(
+          plan.moran ? DecideStage::Final : DecideStage::Pc, decision);
+      for (int w : alive_) comm_.send(w, tag::kDecide, wire);
+      prev_decision_ = decision;
+    }
+    finish_generation(gen);
+  }
+
   void run_master(std::uint64_t start_gen) {
     for (std::uint64_t gen = start_gen; gen < config_.generations; ++gen) {
       if (kill_gen_ && *kill_gen_ == gen) {
@@ -1452,177 +1430,20 @@ class RankProgram {
         obs::trace_instant("ft.kill", obs::kCatFt, "gen", gen);
         return;
       }
-      obs::TraceSpan gen_span(obs::kGenerationSpan, obs::kCatEngine, "gen",
-                              gen);
       current_gen_ = gen;
-      blocks_.begin_generation(pop_, gen);
       pop_gen_start_ = pop_;
       in_generation_ = true;
-
-      pop::GenerationPlan plan;
-      {
-        obs::ScopedTimer t(ins_.plan);
-        obs::TraceSpan span(obs::phase::kPlanBcast, obs::kCatPhase);
-        plan = nature_->plan_generation(&pop_);
-        const auto wire = encode_plan_msg(gen, prev_decision_,
-                                          core::encode_generation_plan(plan));
-        for (int w : alive_) comm_.send(w, tag::kPlan, wire);
-        // Collect acks — the per-generation heartbeat. A killed rank is
-        // detected here, before any of this generation's decisions.
-        const std::vector<int> expected = alive_;
-        for (int w : expected) {
-          if (!is_alive(w)) continue;
-          const bool ok = await_from(
-              w, tag::kPlanAck,
-              [&](const par::Message& m) {
-                return decode_u64(m, "acked generation") == gen;
-              },
-              [&] {
-                comm_.send(w, tag::kPlan,
-                           encode_plan_msg(gen, prev_decision_,
-                                           core::encode_generation_plan(plan)));
-              });
-          if (!ok) handle_death(w);
-        }
-      }
-      prev_decision_.reset();
-
-      Decision decision;
-      decision.gen = gen;
-      if (plan.pc) {
-        FtInstruments::inc(ins_.pc_events);
-        double tf = 0.0, lf = 0.0;
-        {
-          obs::ScopedTimer t(ins_.fitness_return);
-          obs::TraceSpan span(obs::phase::kFitnessReturn, obs::kCatPhase);
-          tf = fitness_of(plan.pc->teacher);
-          lf = fitness_of(plan.pc->learner);
-        }
-        obs::ScopedTimer t(ins_.decision);
-        obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-        decision.adopted = nature_->decide_adoption(tf, lf);
-        if (plan.moran) {
-          // The Moran gather needs post-adoption fitness on every rank, so
-          // this intermediate decision cannot wait for the generation's
-          // write-ahead record; the final (committing) one below does.
-          const auto wire = encode_decide(DecideStage::Pc, decision);
-          for (int w : alive_) comm_.send(w, tag::kDecide, wire);
-          apply_pc_stage(blocks_, pop_, plan, decision, gen, ins_);
-        }
-      }
-      if (plan.moran) {
-        FtInstruments::inc(ins_.moran_events);
-        decision.has_moran = true;
-        std::vector<double> full;
-        {
-          obs::ScopedTimer t(ins_.fitness_return);
-          obs::TraceSpan span(obs::phase::kFitnessReturn, obs::kCatPhase);
-          full = collect_full(gen, decision.adopted);
-        }
-        obs::ScopedTimer t(ins_.decision);
-        obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-        decision.pick = nature_->select_moran(full);
-      }
-      if (plan.pc && !plan.moran) {
-        apply_pc_stage(blocks_, pop_, plan, decision, gen, ins_);
-      }
-      apply_final_stage(blocks_, pop_, plan, decision, gen, ins_);
-
-      // Write-ahead: the record of this generation reaches the standbys
-      // before any worker can see its final decision.
-      replicate(gen, decision);
-      if (plan.pc || plan.moran) {
-        obs::ScopedTimer t(ins_.decision);
-        obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-        const auto wire = encode_decide(
-            plan.moran ? DecideStage::Final : DecideStage::Pc, decision);
-        for (int w : alive_) comm_.send(w, tag::kDecide, wire);
-        prev_decision_ = decision;
-      }
-      finish_generation(gen);
-      FtInstruments::inc(ins_.generations);
-
-      if (shared_.options.metrics_stream != nullptr &&
-          shared_.options.metrics_stream->wants(gen)) {
-        // Reuse the Moran-gather protocol op to assemble the full fitness
-        // vector for the streamed global mean (workers answer kReqBlocks at
-        // any point of their loop). Deaths mid-gather are handled as usual.
-        const std::vector<double> full = collect_full(gen, decision.adopted);
-        double sum = 0.0;
-        for (const double f : full) sum += f;
-        shared_.options.metrics_stream->on_generation(
-            gen, pop_, registry_, sum / static_cast<double>(config_.ssets));
-      }
-
-      if (shared_.options.trace != nullptr) {
-        // Same capture point (and decision layout) as the base engines'
-        // hooks; `nature` is the post-decision state replicate() logged.
-        core::TracePoint point;
-        point.generation = gen;
-        point.nature = nature_->save_state();
-        if (plan.pc) {
-          point.pc = true;
-          point.teacher = plan.pc->teacher;
-          point.learner = plan.pc->learner;
-          point.adopted = decision.adopted;
-        }
-        if (plan.moran) {
-          point.moran = true;
-          point.reproducer = decision.pick.reproducer;
-          point.dying = decision.pick.dying;
-          point.adopted = decision.pick.is_change();
-        }
-        if (plan.mutation) {
-          point.mutated = true;
-          point.mutation_target = plan.mutation->target;
-        }
-        point.table_hash = pop_.table_hash();
-        shared_.options.trace->on_point(point);
-      }
+      protocol_.run_generation(gen);
     }
 
     // Final snapshot gather (top-of-last-generation fitness, matching the
     // base engines). Workers keep serving until the explicit release, so a
     // dropped FINAL reply is simply re-requested.
     current_gen_ = config_.generations > 0 ? config_.generations - 1 : 0;
-    for (;;) {
-      std::vector<double> final_fit(config_.ssets, 0.0);
-      blocks_.fill_snapshot(final_fit);
-      const std::uint64_t req = ++req_seq_;
-      const auto wire = encode_u64(req);
-      for (int w : alive_) comm_.send(w, tag::kStop, wire);
-      bool lost = false;
-      const std::vector<int> expected = alive_;
-      for (int w : expected) {
-        if (!is_alive(w)) continue;
-        const bool ok = await_from(
-            w, tag::kFinal,
-            [&](const par::Message& m) {
-              Reader r(m.payload, kWhat);
-              if (r.u64("request id") != req) return false;
-              const std::uint32_t n = r.u32("range count");
-              for (std::uint32_t i = 0; i < n; ++i) {
-                const pop::SSetId b = r.u32("range begin");
-                const pop::SSetId e = r.u32("range end");
-                if (e < b || e > config_.ssets) r.fail("range out of bounds");
-                const auto vals = r.doubles(e - b, "range fitness");
-                std::copy(vals.begin(), vals.end(), final_fit.begin() + b);
-              }
-              r.expect_exhausted();
-              return true;
-            },
-            [&] { comm_.send(w, tag::kStop, wire); });
-        if (!ok) {
-          handle_death(w);
-          lost = true;
-          break;
-        }
-      }
-      if (lost) continue;  // re-gather with the post-recovery ownership
-      for (pop::SSetId i = 0; i < config_.ssets; ++i) {
-        pop_.set_fitness(i, final_fit[i]);
-      }
-      break;
+    const std::vector<double> final_fit =
+        gather(tag::kStop, tag::kFinal, /*snapshot=*/true, [](Writer&) {});
+    for (pop::SSetId i = 0; i < config_.ssets; ++i) {
+      pop_.set_fitness(i, final_fit[i]);
     }
 
     // Release every rank — including declared-dead ones that are actually
@@ -1643,6 +1464,7 @@ class RankProgram {
   par::Comm& comm_;
   Shared& shared_;
   obs::MetricsRegistry& registry_;
+  core::EngineInstruments eng_;
   FtInstruments ins_;
   const core::SimConfig& config_;
   const int rank_;
@@ -1651,6 +1473,7 @@ class RankProgram {
   std::shared_ptr<const pop::InteractionGraph> graph_;
   OwnershipTable table_;
   BlockSet blocks_;
+  core::GenerationProtocol protocol_;
   const std::optional<std::uint64_t> kill_gen_;
 
   // Protocol position (every rank).
@@ -1673,6 +1496,7 @@ class RankProgram {
   std::uint64_t current_gen_ = 0;
   std::optional<Decision> prev_decision_;
   bool in_generation_ = false;
+  std::vector<double> full_;  // the Moran gather of the current generation
 };
 
 }  // namespace

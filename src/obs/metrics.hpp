@@ -25,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/tracer.hpp"
 #include "util/timer.hpp"
 
 namespace egt::obs {
@@ -131,6 +132,60 @@ class ScopedTimer {
   util::Timer timer_;
 };
 
+/// One timed phase: a single pair of clock readings feeds both the phase
+/// histogram and the flight-recorder span, so the manifest's timer and the
+/// trace's span agree exactly (same count, same durations). A null
+/// histogram with the tracer off reads no clock at all.
+class PhaseScope {
+ public:
+  PhaseScope(Histogram* h, const char* name, const char* cat = kCatPhase,
+             const char* arg_name = nullptr, std::uint64_t arg = 0)
+      : hist_(h), traced_(Tracer::enabled()) {
+    if (hist_ == nullptr && !traced_) return;
+    name_ = name;
+    cat_ = cat;
+    arg_name_ = arg_name;
+    arg_ = arg;
+    start_ns_ = Tracer::now_ns();
+  }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+  ~PhaseScope() {
+    if (name_ == nullptr) return;
+    const std::int64_t dur_ns = Tracer::now_ns() - start_ns_;
+    if (hist_ != nullptr) {
+      hist_->record_seconds(static_cast<double>(dur_ns) * 1e-9);
+    }
+    if (traced_) {
+      TraceEvent ev;
+      ev.kind = TraceEvent::Kind::Span;
+      ev.ts_ns = start_ns_;
+      ev.dur_ns = dur_ns;
+      ev.name = name_;
+      ev.cat = cat_;
+      ev.arg_name = arg_name_;
+      ev.arg = arg_;
+      Tracer::record(ev);
+    }
+  }
+
+  /// Attach/overwrite the span's numeric argument (e.g. a work count
+  /// known only at scope exit).
+  void set_arg(const char* arg_name, std::uint64_t arg) noexcept {
+    arg_name_ = arg_name;
+    arg_ = arg;
+  }
+
+ private:
+  Histogram* hist_;
+  bool traced_;
+  const char* name_ = nullptr;  ///< null = nothing to record
+  const char* cat_ = nullptr;
+  const char* arg_name_ = nullptr;
+  std::uint64_t arg_ = 0;
+  std::int64_t start_ns_ = 0;
+};
+
 /// Plain-data copy of a registry, safe to move across threads, compare in
 /// tests and feed to the exporters (manifest JSON / time-series CSV).
 struct MetricsSnapshot {
@@ -170,12 +225,6 @@ class MetricsRegistry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
-
-  /// Convenience: RAII span on histogram(name). Resolves under the lock —
-  /// hot paths should keep the Histogram& instead.
-  ScopedTimer time(std::string_view name) {
-    return ScopedTimer(histogram(name));
-  }
 
   /// Fold another registry's instruments into this one: counters and
   /// histograms add, gauges take the other's value when set there.

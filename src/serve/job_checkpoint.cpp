@@ -10,13 +10,7 @@ std::vector<std::byte> encode_job_checkpoint(const JobCheckpoint& ckpt) {
   w.u32(kJobCheckpointVersion);
   w.u32(ckpt.attempts);
   w.u32(ckpt.preemptions);
-  w.u64(ckpt.counters.generations);
-  w.u64(ckpt.counters.pc_events);
-  w.u64(ckpt.counters.adoptions);
-  w.u64(ckpt.counters.moran_events);
-  w.u64(ckpt.counters.mutations);
-  w.u64(ckpt.counters.pairs_evaluated);
-  w.u64(ckpt.counters.games_played);
+  ckpt.counters.encode(w);
   w.bytes(ckpt.core);
   w.u32(static_cast<std::uint32_t>(ckpt.fitness.size()));
   w.doubles(ckpt.fitness.data(), ckpt.fitness.size());
@@ -43,13 +37,7 @@ JobCheckpoint decode_job_checkpoint(const std::vector<std::byte>& blob) {
   JobCheckpoint ckpt;
   ckpt.attempts = r.u32("attempts");
   ckpt.preemptions = r.u32("preemptions");
-  ckpt.counters.generations = r.u64("counter generations");
-  ckpt.counters.pc_events = r.u64("counter pc_events");
-  ckpt.counters.adoptions = r.u64("counter adoptions");
-  ckpt.counters.moran_events = r.u64("counter moran_events");
-  ckpt.counters.mutations = r.u64("counter mutations");
-  ckpt.counters.pairs_evaluated = r.u64("counter pairs_evaluated");
-  ckpt.counters.games_played = r.u64("counter games_played");
+  ckpt.counters = EngineCounters::decode(r);
   ckpt.core = r.bytes("core checkpoint");
   const std::uint32_t nf = r.u32("fitness count");
   ckpt.fitness = r.doubles(nf, "fitness values");

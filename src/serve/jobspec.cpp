@@ -93,13 +93,10 @@ std::string job_result_to_json(std::uint64_t job_id, const JobResult& result) {
   w.field("table_hash", result.table_hash);
   w.field("fitness_hash", result.fitness_hash);
   w.key("counters").begin_object();
-  w.field("generations", result.counters.generations);
-  w.field("pc_events", result.counters.pc_events);
-  w.field("adoptions", result.counters.adoptions);
-  w.field("moran_events", result.counters.moran_events);
-  w.field("mutations", result.counters.mutations);
-  w.field("pairs_evaluated", result.counters.pairs_evaluated);
-  w.field("games_played", result.counters.games_played);
+  for (const auto& f : EngineCounters::kFields) {
+    // The JSON keys drop the registry's "engine." prefix.
+    w.field(std::string(f.name).substr(7), result.counters.*f.member);
+  }
   w.end_object();
   w.field("attempts", result.attempts);
   w.field("preemptions", result.preemptions);

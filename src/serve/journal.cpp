@@ -68,13 +68,7 @@ std::vector<std::byte> encode_record(const JournalRecord& rec) {
       w.u64(res.fitness_hash);
       w.u32(static_cast<std::uint32_t>(res.fitness.size()));
       w.doubles(res.fitness.data(), res.fitness.size());
-      w.u64(res.counters.generations);
-      w.u64(res.counters.pc_events);
-      w.u64(res.counters.adoptions);
-      w.u64(res.counters.moran_events);
-      w.u64(res.counters.mutations);
-      w.u64(res.counters.pairs_evaluated);
-      w.u64(res.counters.games_played);
+      res.counters.encode(w);
       w.u32(res.attempts);
       w.u32(res.preemptions);
       break;
@@ -109,13 +103,7 @@ JournalRecord decode_record(const std::vector<std::byte>& payload) {
       res.fitness_hash = r.u64("fitness hash");
       const std::uint32_t n = r.u32("fitness count");
       res.fitness = r.doubles(n, "fitness values");
-      res.counters.generations = r.u64("counter generations");
-      res.counters.pc_events = r.u64("counter pc_events");
-      res.counters.adoptions = r.u64("counter adoptions");
-      res.counters.moran_events = r.u64("counter moran_events");
-      res.counters.mutations = r.u64("counter mutations");
-      res.counters.pairs_evaluated = r.u64("counter pairs_evaluated");
-      res.counters.games_played = r.u64("counter games_played");
+      res.counters = EngineCounters::decode(r);
       res.attempts = r.u32("attempts");
       res.preemptions = r.u32("preemptions");
       break;

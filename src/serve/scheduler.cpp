@@ -20,18 +20,6 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-EngineCounters counters_from(const obs::MetricsSnapshot& s) {
-  EngineCounters c;
-  c.generations = s.counter_value("engine.generations");
-  c.pc_events = s.counter_value("engine.pc_events");
-  c.adoptions = s.counter_value("engine.adoptions");
-  c.moran_events = s.counter_value("engine.moran_events");
-  c.mutations = s.counter_value("engine.mutations");
-  c.pairs_evaluated = s.counter_value("engine.pairs_evaluated");
-  c.games_played = s.counter_value("engine.games_played");
-  return c;
-}
-
 /// Internal control-flow signals for the cooperative cancellation points.
 struct AttemptAborted {
   Scheduler::FaultAction action;
@@ -569,7 +557,7 @@ Scheduler::AttemptResult Scheduler::run_attempt(JobRec& job) {
           other_job_waiting(job.id)) {
         // Preemption: persist and yield the worker to the waiting job.
         const EngineCounters counters =
-            counters_add(base, counters_from(reg.snapshot()));
+            base + EngineCounters::from(reg.snapshot());
         out.preemptions += 1;
         out.checkpointed = commit_checkpoint(job, *engine, counters,
                                              out.attempts, out.preemptions);
@@ -594,7 +582,7 @@ Scheduler::AttemptResult Scheduler::run_attempt(JobRec& job) {
     return out;
   } catch (const AttemptGraceful&) {
     const EngineCounters counters =
-        counters_add(base, counters_from(reg.snapshot()));
+        base + EngineCounters::from(reg.snapshot());
     out.checkpointed = commit_checkpoint(job, *engine, counters, out.attempts,
                                          out.preemptions);
     out.end = AttemptEnd::Graceful;
@@ -621,7 +609,7 @@ Scheduler::AttemptResult Scheduler::run_attempt(JobRec& job) {
   const auto fit = engine->population().fitness();
   res.fitness.assign(fit.begin(), fit.end());
   res.fitness_hash = core::hash_fitness(engine->population().fitness());
-  res.counters = counters_add(base, counters_from(reg.snapshot()));
+  res.counters = base + EngineCounters::from(reg.snapshot());
   res.attempts = out.attempts;
   res.preemptions = out.preemptions;
   return out;

@@ -22,18 +22,6 @@ namespace {
 using core::FitnessMode;
 using core::InteractionSpec;
 
-EngineCounters counters_from(const obs::MetricsSnapshot& s) {
-  EngineCounters c;
-  c.generations = s.counter_value("engine.generations");
-  c.pc_events = s.counter_value("engine.pc_events");
-  c.adoptions = s.counter_value("engine.adoptions");
-  c.moran_events = s.counter_value("engine.moran_events");
-  c.mutations = s.counter_value("engine.mutations");
-  c.pairs_evaluated = s.counter_value("engine.pairs_evaluated");
-  c.games_played = s.counter_value("engine.games_played");
-  return c;
-}
-
 void finish_from_population(EngineOutcome& out, const pop::Population& pop) {
   out.table_hash = pop.table_hash();
   const auto fit = pop.fitness();
@@ -48,7 +36,7 @@ EngineOutcome run_serial_variant(const core::SimConfig& config) {
   engine.set_trace(&rec);
   engine.run_all();
   finish_from_population(out, engine.population());
-  out.counters = counters_from(reg.snapshot());
+  out.counters = core::EngineCounters::from(reg.snapshot());
   out.trace = rec.contiguous_points();
   out.ok = true;
   return out;
@@ -92,7 +80,7 @@ EngineOutcome run_parallel_variant(const core::SimConfig& config, int nranks) {
   opts.trace = &rec;
   const auto result = core::run_parallel(config, nranks, opts);
   finish_from_population(out, result.population);
-  out.counters = counters_from(result.metrics);
+  out.counters = core::EngineCounters::from(result.metrics);
   out.trace = rec.contiguous_points();
   out.ok = true;
   return out;
@@ -119,7 +107,7 @@ EngineOutcome run_ft_variant(const CaseSpec& spec, bool faulty) {
   }
   const auto result = ft::run_parallel_ft(spec.config, spec.nranks, opts);
   finish_from_population(out, result.population);
-  out.counters = counters_from(result.metrics);
+  out.counters = core::EngineCounters::from(result.metrics);
   out.trace = rec.contiguous_points();
   if (faulty) {
     // Recovery off the block-checkpoint fast path recomputes fitness the
@@ -234,21 +222,6 @@ void compare_outcome(CaseResult& result, EngineKind kind,
     }
   }
   if (out.counters_comparable) {
-    auto diff = [&](const char* name, std::uint64_t a, std::uint64_t b) {
-      if (a != b) {
-        fail(std::string("counter ") + name + " differs: " +
-             std::to_string(b) + " vs reference " + std::to_string(a));
-      }
-    };
-    diff("engine.generations", ref.counters.generations,
-         out.counters.generations);
-    diff("engine.pc_events", ref.counters.pc_events, out.counters.pc_events);
-    diff("engine.adoptions", ref.counters.adoptions, out.counters.adoptions);
-    diff("engine.moran_events", ref.counters.moran_events,
-         out.counters.moran_events);
-    diff("engine.mutations", ref.counters.mutations, out.counters.mutations);
-    diff("engine.pairs_evaluated", ref.counters.pairs_evaluated,
-         out.counters.pairs_evaluated);
     // games_played is partition-dependent under dedup: the class-pair
     // cache is global in the serial engine but per-rank in the parallel
     // ones, so a pair class spanning blocks is played once per rank.
@@ -263,9 +236,17 @@ void compare_outcome(CaseResult& result, EngineKind kind,
                             kind == EngineKind::ParallelReplicated ||
                             kind == EngineKind::ParallelFt ||
                             kind == EngineKind::ParallelFtFaulty;
-    if (!(dedup_active && multi_rank)) {
-      diff("engine.games_played", ref.counters.games_played,
-           out.counters.games_played);
+    for (const auto& f : core::EngineCounters::kFields) {
+      if (f.name == core::EngineCounters::kPartitionDependent &&
+          dedup_active && multi_rank) {
+        continue;
+      }
+      const std::uint64_t a = ref.counters.*f.member;
+      const std::uint64_t b = out.counters.*f.member;
+      if (a != b) {
+        fail(std::string("counter ") + f.name + " differs: " +
+             std::to_string(b) + " vs reference " + std::to_string(a));
+      }
     }
   }
 }

@@ -29,16 +29,7 @@ core::SimConfig small_config(core::FitnessMode mode) {
 }
 
 EngineCounters counters_of(const obs::MetricsRegistry& reg) {
-  const obs::MetricsSnapshot s = reg.snapshot();
-  EngineCounters c;
-  c.generations = s.counter_value("engine.generations");
-  c.pc_events = s.counter_value("engine.pc_events");
-  c.adoptions = s.counter_value("engine.adoptions");
-  c.moran_events = s.counter_value("engine.moran_events");
-  c.mutations = s.counter_value("engine.mutations");
-  c.pairs_evaluated = s.counter_value("engine.pairs_evaluated");
-  c.games_played = s.counter_value("engine.games_played");
-  return c;
+  return EngineCounters::from(reg.snapshot());
 }
 
 class JobCheckpointModes
@@ -83,8 +74,8 @@ TEST_P(JobCheckpointModes, ResumeIsBitIdenticalIncludingCounters) {
   EXPECT_EQ(core::hash_fitness(got_fit), core::hash_fitness(want_fit));
 
   // The headline property: base (saved) + resumed growth == undisturbed.
-  const EngineCounters total = counters_add(base, counters_of(resumed_reg));
-  EXPECT_TRUE(counters_equal(total, want_counters))
+  const EngineCounters total = base + counters_of(resumed_reg);
+  EXPECT_TRUE(total == want_counters)
       << "pairs " << total.pairs_evaluated << " vs "
       << want_counters.pairs_evaluated << ", games " << total.games_played
       << " vs " << want_counters.games_played;
@@ -114,6 +105,54 @@ TEST(JobCheckpoint, DamageIsRejectedNotMisread) {
   std::vector<std::byte> extra = blob;
   extra.push_back(std::byte{0x42});
   EXPECT_THROW(decode_job_checkpoint(extra), core::CheckpointError);
+}
+
+// Pins the on-disk layout: every field in the version-1 order, the seven
+// counters as generations, pc_events, adoptions, moran_events, mutations,
+// pairs_evaluated, games_played. A reordering of the shared counter list
+// would silently misread every checkpoint already on disk.
+TEST(JobCheckpoint, EncodingKeepsTheVersionOneFieldOrder) {
+  JobCheckpoint ckpt;
+  ckpt.attempts = 3;
+  ckpt.preemptions = 2;
+  ckpt.counters = EngineCounters{11, 12, 13, 14, 15, 16, 17};
+  ckpt.core = {std::byte{0xab}, std::byte{0xcd}};
+  ckpt.fitness = {1.5, -2.25};
+  ckpt.matrix = {0.125};
+  ckpt.dedup = {core::BlockFitness::DedupEntry{21, 22, 3.5}};
+
+  std::vector<std::byte> want;
+  auto put = [&](const auto& v) {
+    const auto* p = reinterpret_cast<const std::byte*>(&v);
+    want.insert(want.end(), p, p + sizeof v);
+  };
+  put(std::uint64_t{0x4547544a434b5031ull});  // "EGTJCKP1"
+  put(std::uint32_t{1});                      // version
+  put(std::uint32_t{3});                      // attempts
+  put(std::uint32_t{2});                      // preemptions
+  for (std::uint64_t c = 11; c <= 17; ++c) put(c);
+  put(std::uint32_t{2});
+  want.push_back(std::byte{0xab});
+  want.push_back(std::byte{0xcd});
+  put(std::uint32_t{2});
+  put(1.5);
+  put(-2.25);
+  put(std::uint32_t{1});
+  put(0.125);
+  put(std::uint32_t{1});
+  put(std::uint64_t{21});
+  put(std::uint64_t{22});
+  put(3.5);
+
+  EXPECT_EQ(kJobCheckpointVersion, 1u);
+  const std::vector<std::byte> got = encode_job_checkpoint(ckpt);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want);
+
+  const JobCheckpoint back = decode_job_checkpoint(got);
+  EXPECT_TRUE(back.counters == ckpt.counters);
+  EXPECT_EQ(back.counters.generations, 11u);
+  EXPECT_EQ(back.counters.games_played, 17u);
 }
 
 TEST(JobCheckpoint, ResumeValidatesTheConfigFingerprint) {
