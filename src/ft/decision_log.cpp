@@ -94,4 +94,12 @@ void DecisionLog::append(DecisionLogRecord rec) {
   }
 }
 
+const DecisionLogRecord* DecisionLog::find(
+    std::uint64_t generation) const noexcept {
+  for (const DecisionLogRecord& rec : records_) {
+    if (rec.generation == generation) return &rec;
+  }
+  return nullptr;
+}
+
 }  // namespace egt::ft

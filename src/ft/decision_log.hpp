@@ -76,6 +76,9 @@ class DecisionLog {
     return records_.empty() ? nullptr : &records_.back();
   }
 
+  /// The retained record of `generation`, or null.
+  const DecisionLogRecord* find(std::uint64_t generation) const noexcept;
+
   /// The generation a master restored from this log resumes at: one past
   /// the newest completed generation, or 0 for an empty log (master died
   /// before completing generation 0 — the successor starts from scratch).

@@ -123,12 +123,25 @@ struct FtInstruments {
 // and per-generation work count to "engine.pairs_evaluated" (so the merged
 // total matches a fault-free run under kill-only plans); work that only
 // exists because of recovery counts to "ft.recovery.pairs_evaluated".
+//
+// The set also keeps gen_start_, the strategy table at the top of the
+// generation, which a block adopted mid-generation is rebuilt from. It
+// lags the rank's population by the generation's updates, and
+// begin_generation replays them through set_strategy in apply order: the
+// same calls in the same order intern the same class ids (which the
+// rebuilt block's slot map relies on), at O(updates) per generation
+// instead of a population copy (DESIGN.md §7).
 class BlockSet final : public core::OwnedFitness {
  public:
   BlockSet(const core::SimConfig& config,
            std::shared_ptr<const pop::InteractionGraph> graph,
-           const core::EngineInstruments& eng, FtInstruments& ins)
-      : config_(config), graph_(std::move(graph)), eng_(eng), ins_(ins) {}
+           const core::EngineInstruments& eng, FtInstruments& ins,
+           const pop::Population& initial)
+      : config_(config),
+        graph_(std::move(graph)),
+        eng_(eng),
+        ins_(ins),
+        gen_start_(initial) {}
 
   bool cached_mode() const noexcept {
     return config_.fitness_mode != core::FitnessMode::Sampled;
@@ -161,18 +174,25 @@ class BlockSet final : public core::OwnedFitness {
   }
 
   void begin_generation(pop::Population& pop, std::uint64_t gen) override {
+    for (auto& [k, strategy] : updates_) {
+      gen_start_.set_strategy(k, std::move(strategy));
+    }
+    updates_.clear();
     for (Block& b : blocks_) {
       b.fit.begin_generation(pop, gen);
       b.snapshot.assign(b.fit.block().begin(), b.fit.block().end());
     }
-    changed_this_gen_.clear();
   }
 
   void strategy_changed(pop::SSetId k, const pop::Population& pop,
                         std::uint64_t gen) override {
     for (Block& b : blocks_) b.fit.strategy_changed(k, pop, gen);
-    changed_this_gen_.push_back(k);
+    updates_.emplace_back(k, pop.strategy(k));
   }
+
+  /// The strategy table as of the last begin_generation: the top of the
+  /// generation in flight (between generations, of the last one played).
+  const pop::Population& gen_start() const noexcept { return gen_start_; }
 
   std::uint64_t games_played() const override {
     std::uint64_t games = 0;
@@ -236,7 +256,7 @@ class BlockSet final : public core::OwnedFitness {
   }
 
   /// Adopt range [begin, end) from a dead rank. `pop` is the current
-  /// population replica; `pop_gen_start` its state at the top of `gen`
+  /// population replica; gen_start() is its state at the top of `gen`
   /// (before this generation's updates).
   ///
   /// Fast path: an intact covering block checkpoint restores the exact
@@ -258,8 +278,7 @@ class BlockSet final : public core::OwnedFitness {
   /// bit-exact) or a from-scratch initialize; Sampled blocks need nothing
   /// at all, the next begin_generation replays them.
   void adopt(pop::SSetId begin, pop::SSetId end, const pop::Population& pop,
-             const pop::Population& pop_gen_start, std::uint64_t gen,
-             bool mid_gen, const CheckpointStore& store,
+             std::uint64_t gen, bool mid_gen, const CheckpointStore& store,
              std::uint64_t fingerprint) {
     obs::PhaseScope scope(ins_.recovery, "phase.ft_recovery", obs::kCatFt,
                           "begin", begin);
@@ -277,20 +296,20 @@ class BlockSet final : public core::OwnedFitness {
       FtInstruments::inc(ins_.blocks_restored);
     } else {
       if (cached_mode()) {
-        blk.fit.initialize(mid_gen ? pop_gen_start : pop);
+        blk.fit.initialize(mid_gen ? gen_start_ : pop);
         FtInstruments::inc(ins_.recovery_pairs, blk.fit.pairs_evaluated());
         FtInstruments::inc(ins_.recovery_games, blk.fit.games_played());
         blk.accounted = blk.fit.pairs_evaluated();
         blk.games_accounted = blk.fit.games_played();
       }
       if (mid_gen) {
-        blk.fit.begin_generation(pop_gen_start, gen);
+        blk.fit.begin_generation(gen_start_, gen);
         account_block(blk, eng_.pairs, eng_.games);
         // Snapshot = top-of-generation values, before this generation's
         // updates (which are replayed on top for the cached modes below).
         blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
-        for (pop::SSetId k : changed_this_gen_) {
-          blk.fit.strategy_changed(k, pop, gen);
+        for (const auto& update : updates_) {
+          blk.fit.strategy_changed(update.first, pop, gen);
         }
         account_block(blk, ins_.recovery_pairs, ins_.recovery_games);
       }
@@ -373,9 +392,11 @@ class BlockSet final : public core::OwnedFitness {
   const core::EngineInstruments& eng_;
   FtInstruments& ins_;
   std::vector<Block> blocks_;
-  // Strategy changes applied in the current generation, in order —
-  // replayed onto blocks adopted mid-generation.
-  std::vector<pop::SSetId> changed_this_gen_;
+  pop::Population gen_start_;
+  // Strategy updates applied since gen_start_ was last rolled forward (the
+  // current generation's), in apply order — replayed onto blocks adopted
+  // mid-generation and, at the next begin_generation, onto gen_start_.
+  std::vector<std::pair<pop::SSetId, game::Strategy>> updates_;
 };
 
 // -- message codecs -----------------------------------------------------------
@@ -521,10 +542,9 @@ class RankProgram final : private core::GenerationTransport {
         config_(shared.config),
         rank_(comm.rank()),
         pop_(core::make_initial_population(config_)),
-        pop_gen_start_(pop_),
         graph_(core::make_shared_graph(config_)),
         table_(OwnershipTable::initial(config_.ssets, comm.size())),
-        blocks_(config_, graph_, eng_, ins_),
+        blocks_(config_, graph_, eng_, ins_, pop_),
         protocol_(pop_, blocks_, *this, eng_),
         kill_gen_(shared.options.plan.kill_generation(rank_)) {
     for (const auto& [b, e] : table_.ranges_of(rank_)) {
@@ -660,7 +680,15 @@ class RankProgram final : private core::GenerationTransport {
   void adopt_missing_ranges(std::uint64_t gen, bool mid_gen) {
     for (const auto& [b, e] : table_.ranges_of(rank_)) {
       if (blocks_.owns_range(b, e)) continue;
-      blocks_.adopt(b, e, pop_, pop_gen_start_, gen, mid_gen, shared_.store,
+      if (mid_gen && gen > 0) {
+        // The replica the block is rebuilt from must be the table the
+        // previous generation's log record committed (as promotion checks
+        // pop_ against the newest record).
+        if (const DecisionLogRecord* rec = log_.find(gen - 1)) {
+          EGT_ASSERT(blocks_.gen_start().table_hash() == rec->table_hash);
+        }
+      }
+      blocks_.adopt(b, e, pop_, gen, mid_gen, shared_.store,
                     shared_.fingerprint);
     }
   }
@@ -722,7 +750,6 @@ class RankProgram final : private core::GenerationTransport {
         heal_pending(prev);
         EGT_ASSERT(!pending_);
         protocol_.play(gen);
-        pop_gen_start_ = pop_;
         pop::GenerationPlan plan = core::decode_generation_plan(plan_wire);
         if (plan.pc || plan.moran) {
           pending_ = Pending{gen, std::move(plan), false};
@@ -1431,7 +1458,6 @@ class RankProgram final : private core::GenerationTransport {
         return;
       }
       current_gen_ = gen;
-      pop_gen_start_ = pop_;
       in_generation_ = true;
       protocol_.run_generation(gen);
     }
@@ -1469,7 +1495,6 @@ class RankProgram final : private core::GenerationTransport {
   const core::SimConfig& config_;
   const int rank_;
   pop::Population pop_;
-  pop::Population pop_gen_start_;
   std::shared_ptr<const pop::InteractionGraph> graph_;
   OwnershipTable table_;
   BlockSet blocks_;

@@ -52,7 +52,10 @@ void Context::courier_main() {
         });
     const auto now = std::chrono::steady_clock::now();
     if (next->due > now) {
-      courier_cv_.wait_until(lock, next->due);
+      // Copy the deadline: wait_until reads it while the lock is released,
+      // and a concurrent deliver_later may reallocate delayed_.
+      const auto due = next->due;
+      courier_cv_.wait_until(lock, due);
       continue;  // re-evaluate: stop flag or an earlier message may exist
     }
     DelayedMessage ready = std::move(*next);

@@ -107,8 +107,10 @@ void Population::release(ClassId c) {
 }
 
 std::uint64_t Population::table_hash() const noexcept {
+  // Folds each SSet's Strategy::hash() in SSet order, read from its class
+  // slot (StrategyClass::hash) instead of rehashing the strategy.
   std::uint64_t h = util::mix64(size());
-  for (const auto& s : strategies_) h = util::mix64(h ^ s.hash());
+  for (const ClassId c : class_of_) h = util::mix64(h ^ classes_[c].hash);
   return h;
 }
 

@@ -124,6 +124,11 @@ TEST(DecisionLog, PrunesToRetentionWindow) {
   EXPECT_LE(log.size(), 4u);
   EXPECT_EQ(log.newest()->generation, 9u);
   EXPECT_EQ(log.next_generation(), 10u);
+  // find() sees exactly the retained records.
+  ASSERT_NE(log.find(8), nullptr);
+  EXPECT_EQ(log.find(8)->generation, 8u);
+  EXPECT_EQ(log.find(0), nullptr);
+  EXPECT_EQ(log.find(10), nullptr);
 }
 
 }  // namespace

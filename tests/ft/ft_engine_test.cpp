@@ -6,9 +6,12 @@
 // machinery actually did.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/engine.hpp"
+#include "core/observer.hpp"
 #include "ft/ft_engine.hpp"
 #include "ft/protocol.hpp"
 #include "obs/metrics.hpp"
@@ -77,6 +80,22 @@ void expect_engine_counters_equal(const FtResult& ft, const Reference& ref) {
     if (f.name == core::EngineCounters::kPartitionDependent) continue;
     const char* name = f.name;
     EXPECT_EQ(ft.metrics.counter_value(name), ref.metrics.counter_value(name))
+        << "counter " << name << " diverged";
+  }
+}
+
+// The event counters alone: a false eviction re-plays or re-counts the
+// evicted rank's work, so engine.pairs_evaluated is not comparable either
+// (DESIGN.md §7).
+void expect_events_equal(const FtResult& ft, const Reference& ref) {
+  for (const auto& f : core::EngineCounters::kFields) {
+    const std::string_view name = f.name;
+    if (name == core::EngineCounters::kPartitionDependent ||
+        name == "engine.pairs_evaluated") {
+      continue;
+    }
+    EXPECT_EQ(ft.metrics.counter_value(f.name),
+              ref.metrics.counter_value(f.name))
         << "counter " << name << " diverged";
   }
 }
@@ -259,12 +278,7 @@ TEST(FtEngine, FalsePositiveEvictionPreservesTrajectory) {
   EXPECT_EQ(ft.metrics.counter_value("ft.failures_detected"), 1u);
   EXPECT_EQ(ft.metrics.counter_value("ft.faults.kills"), 0u)
       << "nobody actually died";
-  for (const char* name :
-       {"engine.generations", "engine.pc_events", "engine.adoptions",
-        "engine.moran_events", "engine.mutations"}) {
-    EXPECT_EQ(ft.metrics.counter_value(name), ref.metrics.counter_value(name))
-        << "counter " << name << " diverged";
-  }
+  expect_events_equal(ft, ref);
 }
 
 TEST(FtEngine, FtCountersArePreRegistered) {
@@ -343,6 +357,124 @@ TEST(FtEngine, RejectsInexecutablePlansAndOptions) {
   }
   EXPECT_THROW((void)run_parallel_ft(cfg, 11), std::invalid_argument)
       << "more ranks than SSets";
+}
+
+// -- mid-generation adopts rebuilt from the generation-start replica -------
+//
+// A block adopted in the middle of generation g is rebuilt from the
+// rank's replica of the strategy table at the top of g, and then replays
+// g's updates applied so far. Kills fire when a PLAN arrives, before any
+// update, so these cases lose a rank later: a standby whose log ack and
+// probe replies are dropped during the write-ahead replication of g
+// (every update of g applied at the master), or a range owner whose reply
+// to the final gather is dropped (every update of the last generation
+// applied on every rank).
+
+SimConfig churn_config(FitnessMode mode, pop::UpdateRule rule) {
+  SimConfig cfg;
+  cfg.ssets = 8;
+  cfg.memory = 1;
+  cfg.generations = 400;
+  cfg.pc_rate = 0.9;
+  cfg.mutation_rate = 0.5;
+  cfg.seed = 77;
+  cfg.fitness_mode = mode;
+  cfg.update_rule = rule;
+  return cfg;
+}
+
+/// The first generation of the serial run in which one SSet changes
+/// twice: it adopts a strategy (PC learner or Moran dying SSet), then
+/// mutates.
+std::optional<std::uint64_t> first_double_change(const SimConfig& cfg) {
+  std::optional<std::uint64_t> found;
+  core::CallbackObserver watch(
+      [&](const pop::Population&, const core::GenerationRecord& r) {
+        if (!found && r.pc && r.pc->adopted && r.mutation &&
+            *r.mutation == r.pc->learner) {
+          found = r.generation;
+        }
+      });
+  Engine serial(cfg);
+  serial.run_all(&watch);
+  return found;
+}
+
+// Drop `reply_tag` from `rank` to the master once, after `skip` of them
+// went through, and every probe reply, so the master evicts the rank while
+// it waits for that reply.
+FtRunOptions evict_on(int rank, int reply_tag, std::uint64_t skip) {
+  FtRunOptions opt;
+  opt.plan.drop({rank, 0, reply_tag, skip, /*count=*/1, 0});
+  opt.plan.drop({rank, 0, tag::kPong, /*skip=*/0, /*count=*/2, 0});
+  opt.detect_timeout_ms = 60.0;
+  opt.ping_timeout_ms = 30.0;
+  opt.max_pings = 2;
+  return opt;
+}
+
+void expect_one_mid_gen_recovery(const FtResult& ft) {
+  EXPECT_EQ(ft.ranks_lost, 1);
+  EXPECT_EQ(ft.metrics.counter_value("ft.faults.kills"), 0u);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+}
+
+void run_standby_lost_during_replicate(FitnessMode mode,
+                                       pop::UpdateRule rule) {
+  auto cfg = churn_config(mode, rule);
+  const auto g = first_double_change(cfg);
+  ASSERT_TRUE(g.has_value());
+  cfg.generations = *g + 6;  // keep using the rebuilt blocks afterwards
+  const auto ref = serial_reference(cfg);
+  // Rank 1 is the standby; it acks one log record per generation.
+  const auto ft = run_parallel_ft(cfg, 4, evict_on(1, tag::kLogAck, *g));
+  expect_table_equal(ft, ref);
+  expect_fitness_equal(ft, ref);
+  expect_events_equal(ft, ref);
+  expect_one_mid_gen_recovery(ft);
+}
+
+TEST(FtEngine, StandbyLostDuringReplicateSampled) {
+  run_standby_lost_during_replicate(FitnessMode::Sampled,
+                                    pop::UpdateRule::PairwiseComparison);
+}
+
+// Analytic recovery recomputes the adopted block from scratch, which is
+// exact only up to FP summation order in general (DESIGN.md §7); with pure
+// memory-1 strategies at zero noise the sums here come out bit-equal.
+TEST(FtEngine, StandbyLostDuringReplicateAnalytic) {
+  run_standby_lost_during_replicate(FitnessMode::Analytic,
+                                    pop::UpdateRule::PairwiseComparison);
+}
+
+TEST(FtEngine, StandbyLostDuringReplicateMoranAnalytic) {
+  run_standby_lost_during_replicate(FitnessMode::Analytic,
+                                    pop::UpdateRule::Moran);
+}
+
+void run_owner_lost_during_final_gather(FitnessMode mode) {
+  auto cfg = churn_config(mode, pop::UpdateRule::PairwiseComparison);
+  // The double change happens in the last generation, so every rank has
+  // applied both updates of one SSet when the final gather loses rank 2.
+  const auto g = first_double_change(cfg);
+  ASSERT_TRUE(g.has_value());
+  cfg.generations = *g + 1;
+  const auto ref = serial_reference(cfg);
+  const auto ft = run_parallel_ft(cfg, 4, evict_on(2, tag::kFinal, 0));
+  expect_table_equal(ft, ref);
+  // The final fitness is the top-of-generation snapshot, which the
+  // adopters rebuild from the replica alone.
+  expect_fitness_equal(ft, ref);
+  expect_events_equal(ft, ref);
+  expect_one_mid_gen_recovery(ft);
+}
+
+TEST(FtEngine, OwnerLostDuringFinalGatherSampled) {
+  run_owner_lost_during_final_gather(FitnessMode::Sampled);
+}
+
+TEST(FtEngine, OwnerLostDuringFinalGatherAnalytic) {
+  run_owner_lost_during_final_gather(FitnessMode::Analytic);
 }
 
 }  // namespace

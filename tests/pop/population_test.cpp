@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "game/named.hpp"
 
 namespace egt::pop {
@@ -59,6 +61,58 @@ TEST(Population, TableHashTracksContent) {
   const auto h0 = p.table_hash();
   p.set_strategy(3, game::named::all_d(1));
   EXPECT_NE(p.table_hash(), h0);
+}
+
+// The table hash as a fold of every SSet's Strategy::hash() in SSet
+// order, computed from the strategies themselves.
+std::uint64_t per_strategy_fold(const Population& p) {
+  std::uint64_t h = util::mix64(p.size());
+  for (const auto& s : p.strategies()) h = util::mix64(h ^ s.hash());
+  return h;
+}
+
+// Adoptions (copy another SSet's strategy, which can free a class slot)
+// and mutations (a fresh strategy, which can recycle one), checked after
+// every step.
+void churn_and_check(Population& p, util::Xoshiro256& rng,
+                     const std::function<game::Strategy()>& fresh) {
+  ASSERT_EQ(p.table_hash(), per_strategy_fold(p));
+  for (int step = 0; step < 200; ++step) {
+    const auto target =
+        static_cast<SSetId>(util::uniform_below(rng, p.size()));
+    if (util::uniform_below(rng, 3) == 0) {
+      p.set_strategy(target, fresh());
+    } else {
+      const auto teacher =
+          static_cast<SSetId>(util::uniform_below(rng, p.size()));
+      p.set_strategy(target, p.strategy(teacher));
+    }
+    ASSERT_EQ(p.table_hash(), per_strategy_fold(p)) << "step " << step;
+  }
+}
+
+TEST(Population, TableHashMatchesPerStrategyFoldThroughChurn) {
+  util::Xoshiro256 rng(41);
+  auto pure = Population::random_pure(24, 2, rng);
+  churn_and_check(pure, rng, [&] {
+    return game::Strategy(game::PureStrategy::random(2, rng));
+  });
+  auto mixed = Population::random_mixed(16, 1, rng);
+  churn_and_check(mixed, rng, [&] {
+    // Half pure: the population holds pure and mixed classes together.
+    if (util::uniform_below(rng, 2) == 0) {
+      return game::Strategy(game::PureStrategy::random(1, rng));
+    }
+    return game::Strategy(game::MixedStrategy::random(1, rng));
+  });
+  auto nway = Population::random_nway(16, 3, /*pure=*/true, rng);
+  churn_and_check(nway, rng, [&] {
+    if (util::uniform_below(rng, 2) == 0) {
+      return game::Strategy(game::NWayStrategy::pure_action(
+          3, static_cast<std::uint32_t>(util::uniform_below(rng, 3))));
+    }
+    return game::Strategy(game::NWayStrategy::random(3, rng));
+  });
 }
 
 TEST(Population, InterningSharesClassesAcrossEqualStrategies) {
